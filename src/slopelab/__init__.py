@@ -29,7 +29,7 @@ from .measure import (
     nu_measure_truncated,
     quotient,
 )
-from .params import Params, Regime, classify
+from .params import Params
 from .stopping import StoppingDecomposition, stopping_intervals
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "LevelSetQuery",
     "MeasureEstimate",
     "Params",
-    "Regime",
     "StoppingDecomposition",
     "Sweep",
     "TestFunction",
@@ -49,7 +48,6 @@ __all__ = [
     "block_function",
     "bv_indicator_limit",
     "cantor_growth",
-    "classify",
     "counterexample_series",
     "detect_divergence",
     "dilate",

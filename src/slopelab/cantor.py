@@ -68,10 +68,6 @@ class CantorSpec:
         elif self.g0_deriv is None:
             raise ValueError("a custom base profile must come with its derivative")
 
-    @property
-    def similarity_dimension(self) -> float:
-        return 1.0 + self.gamma
-
     def lip_bound(self, m: Optional[int] = None) -> float:
         """Upper bound for the staircase slope: (2 rho)^-m * max g0'."""
         m = self.m if m is None else m

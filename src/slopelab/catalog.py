@@ -116,6 +116,9 @@ class TestFunction:
     kinks: tuple[float, ...] = ()
     jumps: tuple[tuple[float, float], ...] = ()
     breakpoints: tuple[float, ...] = ()
+    # slicer(theta, offset): the line profile of the 2D slice at that offset,
+    # or None off the support.  Every entry is radial, so theta is unused;
+    # rotation2d passes 0.
     slicer: Optional[Callable[[float, float], Optional[LineProfile]]] = None
     meta: tuple = ()
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln, psi
+from scipy.special import gammaln
 
 __all__ = [
     "kappa",
-    "kappa_dp",
     "sphere_area",
     "halfline_closed_form",
 ]
@@ -43,12 +42,6 @@ def kappa(p: float, dim: int) -> float:
         - gammaln((dim + p) / 2.0)
     )
     return float(math.exp(log_val))
-
-
-def kappa_dp(p: float, dim: int) -> float:
-    """Analytic d/dp of :func:`kappa` via the digamma function."""
-    _check_regime(p, dim)
-    return 0.5 * kappa(p, dim) * float(psi((p + 1.0) / 2.0) - psi((dim + p) / 2.0))
 
 
 def sphere_area(dim: int) -> float:

@@ -40,7 +40,7 @@ def _radius_cuts(q: LevelSetQuery) -> tuple[float, float, float, Optional[str]]:
     if beta < 0.0:
         r_lo = (2.0 * M / lam) ** (1.0 / beta) if M > 0 else math.inf
     elif beta == 0.0:
-        if boundary and 1.0 >= lam:
+        if boundary and 1.0 > lam:
             return 0.0, 0.0, 0.0, "boundary jump at constant threshold: divergent"
         r_lo = (lam / L) if math.isfinite(L) and L > 0 else r_hi / 2**20
     elif beta < 1.0:

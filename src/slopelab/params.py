@@ -1,33 +1,12 @@
 """The regime triple (dimension, integrability p, weight exponent gamma).
 
 The quotient exponent b = gamma / p is always derived, never set directly,
-so b * p == gamma holds exactly.  ``Regime`` classifies every admissible
-(p, gamma) pair into exactly one of the theory's parameter ranges; the
-classification is total.
+so b * p == gamma holds exactly.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-
-
-class Regime(enum.Enum):
-    GAMMA_POSITIVE = "gamma>0"                  # limits taken as lambda -> infinity
-    GAMMA_ZERO = "gamma=0"                      # Lipschitz dichotomy range
-    NEG_UNIT_P1 = "-1<=gamma<0, p=1"            # weak-type upper bounds fail here
-    NEG_UNIT_P_GT1 = "-1<=gamma<0, p>1"
-    BELOW_MINUS_ONE = "gamma<-1"
-
-
-def classify(p: float, gamma: float) -> Regime:
-    if gamma > 0:
-        return Regime.GAMMA_POSITIVE
-    if gamma == 0:
-        return Regime.GAMMA_ZERO
-    if gamma < -1:
-        return Regime.BELOW_MINUS_ONE
-    return Regime.NEG_UNIT_P1 if p == 1 else Regime.NEG_UNIT_P_GT1
 
 
 @dataclass(frozen=True)
@@ -46,12 +25,3 @@ class Params:
             raise ValueError(f"p must satisfy p >= 1, got {self.p}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "b", self.gamma / self.p)
-
-    @property
-    def regime(self) -> Regime:
-        return classify(self.p, self.gamma)
-
-    @property
-    def limit_direction(self) -> str:
-        """Direction in which lambda^p * measure has a limit: 'up' or 'down'."""
-        return "up" if self.gamma > 0 else "down"

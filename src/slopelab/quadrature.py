@@ -107,7 +107,13 @@ def _weight_vec(gamma: float, a, b):
 
 
 def _ramp_primitive(gamma: float, span: float, h: float) -> float:
-    """Primitive of (h - span) h^(gamma-1), for the two-plateau family."""
+    """Primitive of (h - span) h^(gamma-1), for the two-plateau family.
+
+    The span term is dropped at span == 0, so h = 0 is a valid argument
+    wherever the integral of h^gamma converges there (gamma > -1).
+    """
+    if span == 0.0:
+        return math.log(h) if gamma == -1.0 else h ** (gamma + 1.0) / (gamma + 1.0)
     if gamma == 0.0:
         return h - span * math.log(h)
     if gamma == -1.0:
@@ -118,9 +124,12 @@ def _ramp_primitive(gamma: float, span: float, h: float) -> float:
 def _ramp_integral(gamma: float, span: float, a: float, b: float) -> float:
     if b <= a:
         return 0.0
+    if math.isinf(b) and gamma + 1.0 >= 0.0:
+        return math.inf
+    if a == 0.0 and gamma <= -1.0:
+        # a == 0 only for a zero-width support: the integrand is h^gamma
+        return math.inf
     if math.isinf(b):
-        if gamma + 1.0 >= 0.0:
-            return math.inf
         return -_ramp_primitive(gamma, span, a)
     return _ramp_primitive(gamma, span, b) - _ramp_primitive(gamma, span, a)
 
@@ -152,7 +161,7 @@ def _near_cut(L, M, jumps, gamma, beta, lam, span) -> _NearCut:
         return _NearCut("zero", h_cut=(2.0 * M / lam) ** (1.0 / beta))
 
     if beta == 0.0:
-        if j_max >= lam:
+        if j_max > lam:
             return _NearCut(
                 "divergent",
                 reason=f"interior jump of size {j_max:g} meets lambda={lam:g} at quotient "
@@ -325,11 +334,8 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
             coarse = float(np.trapezoid(w[::2], xs[::2]))
             return fine, abs(fine - coarse)
 
-        try:
-            v_r, e_r = one_sided("right")
-            v_l, e_l = one_sided("left")
-        except _Divergent:
-            raise
+        v_r, e_r = one_sided("right")
+        v_l, e_l = one_sided("left")
         value += v_r + v_l
         err += e_r + e_l
         parts["profile_vs_plateau"] = v_r + v_l
@@ -346,7 +352,7 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
         ramp = _ramp_integral(gamma, profile.span, a, b)
         if math.isinf(ramp):
             raise _Divergent(
-                f"two-plateau far field diverges (plateau gap {delta:g}, gamma={gamma:g} >= -1)"
+                f"two-plateau pairs diverge (plateau gap {delta:g}, gamma={gamma:g})"
             )
         value += ramp
         parts["two_plateau"] = ramp

@@ -1,10 +1,12 @@
-"""Method-of-rotation slicing: a planar measure as an average of line measures.
+"""Method-of-rotation slicing: a planar measure as an integral of line measures.
 
 For a two-dimensional function the weighted level-set measure equals the
 integral over directions and offsets of the one-dimensional measure of the
-sliced function; the direction integrand has period pi (a direction and its
-opposite give reflected slices with equal measure), so the angular average
-runs over [0, pi).  Each slice is handed to the line engine as its own
+sliced function.  Every 2D catalog entry is radial: its slice depends only on
+|offset|, never on the direction, so the direction integral over [0, pi) and
+the offsets s and -s collapse into one integral over s in [0, R] with weight
+2 pi.  ``slicer(theta, offset)`` keeps its direction argument; it is unused,
+and this module passes 0.  Each slice is handed to the line engine as its own
 profile, so slice-level metadata (chord jumps for indicators, the parent's
 Lipschitz constant for smooth entries) keeps the near-diagonal analysis
 rigorous.
@@ -13,23 +15,16 @@ rigorous.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .measure import LevelSetQuery, MeasureEstimate
 from .quadrature import measure_line
 
-__all__ = ["measure_rotation2d", "slice_measures"]
+__all__ = ["measure_rotation2d"]
 
-
-def _worker_count() -> int:
-    raw = os.environ.get("SLOPELAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# Offset nodes on [0, R]; the error rule compares against every other node.
+N_OFFSETS = 33
 
 
 def _enclosing_radius(u) -> float:
@@ -40,93 +35,58 @@ def _enclosing_radius(u) -> float:
     )
 
 
-def slice_measures(q: LevelSetQuery, theta: float, offsets: np.ndarray) -> list:
-    """Line-engine results for one direction across an offset grid."""
-    if q.u.slicer is None:
-        raise ValueError(f"{q.u.id} does not provide slices for the rotation method")
-    out = []
-    for s in offsets:
-        prof = q.u.slicer(theta, float(s))
-        if prof is None:
-            out.append(None)
-            continue
-        out.append(
-            measure_line(
-                prof,
-                q.params.gamma,
-                q.params.b,
-                q.lam,
-                h_window=q.annulus,
-                rel_tol=q.rel_tol * 2.0,
-                abs_tol=q.abs_tol,
-                budget=q.budget,
-            )
-        )
-    return out
+def measure_rotation2d(q: LevelSetQuery) -> MeasureEstimate:
+    """2 pi times the trapezoid integral of slice measures over offsets in [0, R].
 
-
-def measure_rotation2d(
-    q: LevelSetQuery, n_angles: int = 8, n_offsets: int = 65
-) -> MeasureEstimate:
+    Requires a radial entry: ``q.u.slicer(theta, s)`` may depend only on |s|.
+    """
     if q.params.dim != 2:
         raise ValueError("rotation slicing requires dim == 2")
     if q.u.slicer is None:
         raise ValueError(f"{q.u.id} does not provide slices for the rotation method")
 
-    radius = _enclosing_radius(q.u)
-    thetas = (np.arange(n_angles) + 0.5) * math.pi / n_angles
-    offsets = np.linspace(-radius, radius, n_offsets)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_theta = list(
-                pool.map(lambda t: slice_measures(q, t, offsets), thetas)
-            )
-    else:
-        per_theta = [slice_measures(q, t, offsets) for t in thetas]
-
+    offsets = np.linspace(0.0, _enclosing_radius(q.u), N_OFFSETS)
+    values = np.zeros(N_OFFSETS)
+    errors = np.zeros(N_OFFSETS)
+    tails = np.zeros(N_OFFSETS)
     evals = 0
-    values = np.zeros((n_angles, n_offsets))
-    errors = np.zeros_like(values)
-    tails = np.zeros_like(values)
-    for i, row in enumerate(per_theta):
-        for j, est in enumerate(row):
-            if est is None:
-                continue
-            if math.isinf(est.value):
-                return MeasureEstimate(
-                    value=math.inf,
-                    error_bound=math.inf,
-                    method="rotation2d",
-                    diagnostics={"reason": est.diagnostics.get("reason", "divergent slice")},
-                )
-            values[i, j] = est.value
-            errors[i, j] = est.error
-            tails[i, j] = est.tail
-            evals += est.evaluations
+    for j, s in enumerate(offsets):
+        prof = q.u.slicer(0.0, float(s))
+        if prof is None:
+            continue
+        est = measure_line(
+            prof,
+            q.params.gamma,
+            q.params.b,
+            q.lam,
+            h_window=q.annulus,
+            rel_tol=q.rel_tol * 2.0,
+            abs_tol=q.abs_tol,
+            budget=q.budget,
+        )
+        if math.isinf(est.value):
+            return MeasureEstimate(
+                value=math.inf,
+                error_bound=math.inf,
+                method="rotation2d",
+                diagnostics={"reason": est.diagnostics.get("reason", "divergent slice")},
+            )
+        values[j] = est.value
+        errors[j] = est.error
+        tails[j] = est.tail
+        evals += est.evaluations
 
-    # angular average over [0, pi) times the offset integral; the midpoint
-    # rule on a periodic integrand converges spectrally in n_angles
-    def assemble(vals, off):
-        inner = np.trapezoid(vals, off, axis=1)
-        return math.pi * float(inner.mean())
+    def integral(vals, off):
+        return 2.0 * math.pi * float(np.trapezoid(vals, off))
 
-    value = assemble(values, offsets)
-    coarse = assemble(values[:, ::2], offsets[::2])
-    quad_err = abs(value - coarse)
-    slice_err = math.pi * float(np.trapezoid(errors, offsets, axis=1).mean())
-    tail = math.pi * float(np.trapezoid(tails, offsets, axis=1).mean())
+    value = integral(values, offsets)
+    quad_err = abs(value - integral(values[::2], offsets[::2]))
 
     return MeasureEstimate(
         value=value,
-        error_bound=quad_err + slice_err,
+        error_bound=quad_err + integral(errors, offsets),
         method="rotation2d",
         evaluations=evals,
-        tail_analytic=tail,
-        diagnostics={
-            "n_angles": n_angles,
-            "n_offsets": n_offsets,
-            "offset_quadrature_error": quad_err,
-        },
+        tail_analytic=integral(tails, offsets),
+        diagnostics={"offset_quadrature_error": quad_err},
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from slopelab.constants import halfline_closed_form, kappa, kappa_dp, sphere_area
+from slopelab.constants import halfline_closed_form, kappa, sphere_area
 
 RTOL = 1e-12
 
@@ -32,12 +32,6 @@ class TestKappa:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 5.0, 17.0])
     def test_dim_one_is_two_for_every_p(self, p):
         assert kappa(p, 1) == 2.0
-
-    @pytest.mark.parametrize("p,dim", [(1.3, 2), (2.7, 3), (4.0, 5)])
-    def test_continuity_in_p(self, p, dim):
-        eps = 1e-6
-        fd = (kappa(p + eps, dim) - kappa(p - eps, dim)) / (2.0 * eps)
-        assert fd == pytest.approx(kappa_dp(p, dim), rel=1e-6)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from slopelab.measure import (
     quotient,
 )
 from slopelab.params import Params
+from slopelab.quadrature import measure_line
 
 
 def P(gamma, p=1.0, dim=1):
@@ -41,12 +42,20 @@ class TestQuotient:
 
 
 class TestClosedFormOracle:
-    @pytest.mark.parametrize("gamma", [1.0, -2.0])
+    # (-0.5, *) and (0, 1) integrate the weight from h = 0 on the zero-width support
+    @pytest.mark.parametrize(
+        "gamma,p", [(1.0, 1.0), (-2.0, 1.0), (-0.5, 1.0), (-0.5, 2.0), (0.0, 1.0)]
+    )
     @pytest.mark.parametrize("lam", [0.25, 4.0])
-    def test_halfline_step(self, gamma, lam):
+    def test_halfline_step(self, gamma, p, lam):
         step = make_standard("halfline_step")
-        est = nu_measure(LevelSetQuery(u=step, params=P(gamma), lam=lam))
-        assert est.value == pytest.approx(halfline_closed_form(gamma, lam), rel=0.01)
+        est = nu_measure(LevelSetQuery(u=step, params=P(gamma, p), lam=lam))
+        if p == 1.0:
+            exact = halfline_closed_form(gamma, lam)
+        else:
+            beta = 1.0 + gamma / p
+            exact = 2.0 * lam ** (-(gamma + 1.0) / beta) / abs(gamma + 1.0)
+        assert est.value == pytest.approx(exact, rel=0.01)
 
     def test_constant_function_measures_zero(self):
         from slopelab.catalog import TestFunction
@@ -196,9 +205,10 @@ class TestSentinels:
         est = nu_measure(LevelSetQuery(u=tent, params=P(0.0), lam=1.5))
         assert est.value == 0.0
 
-    def test_step_diverges_at_gamma_minus_one(self):
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_step_diverges_at_gamma_minus_one(self, p):
         step = make_standard("halfline_step")
-        est = nu_measure(LevelSetQuery(u=step, params=P(-1.0), lam=0.5))
+        est = nu_measure(LevelSetQuery(u=step, params=P(-1.0, p), lam=0.5))
         assert est.infinite
 
     def test_indicator_diverges_at_gamma_minus_one_below_jump(self):
@@ -207,6 +217,12 @@ class TestSentinels:
         assert est.infinite
         est2 = nu_measure(LevelSetQuery(u=ind, params=P(-1.0), lam=1.5))
         assert math.isfinite(est2.value)
+
+    def test_jump_at_constant_threshold_is_not_member(self):
+        # membership is strict: a jump of 1 is not above lambda = 1 at b = -1
+        prof = make_standard("interval_indicator(1)").line_profile()
+        est = measure_line(prof, -2.0, -1.0, 1.0, pair_box=(0.0, 1.0))
+        assert est.value == 0.0
 
     def test_budget_error_carries_partial(self):
         tent = make_standard("tent")

@@ -8,7 +8,7 @@ import pytest
 from slopelab.catalog import get, make_standard, mollified_indicator
 from slopelab.measure import LevelSetQuery, nu_measure
 from slopelab.params import Params
-from slopelab.rotation import slice_measures
+from slopelab.quadrature import measure_line
 
 
 def P(gamma, p=1.0, dim=1):
@@ -16,14 +16,24 @@ def P(gamma, p=1.0, dim=1):
 
 
 class TestRotation:
-    def test_radial_slices_identical_across_angles(self):
+    # rotation2d integrates one direction over offsets s >= 0 only; that is
+    # exact when the slice at (theta, s) measures the same as the one at (0, -s)
+    @pytest.mark.parametrize(
+        "fid", ["smooth_bump", "ball_indicator(1)", "mollified_indicator(3)"]
+    )
+    def test_slices_depend_only_on_the_offset_magnitude(self, fid):
+        u = get(fid, dim=2)
+        for theta, s in [(0.3, 0.0), (2.1, 0.3), (1.2, 0.7)]:
+            a = measure_line(u.slicer(theta, s), 1.0, 1.0, 2.0)
+            b = measure_line(u.slicer(0.0, -s), 1.0, 1.0, 2.0)
+            assert (a.value, a.error) == (b.value, b.error)
+
+    def test_disc_value_pinned(self):
+        # the 8-angle, 65-offset rule this integral replaced gave these numbers
         ball = get("ball_indicator(1)", dim=2)
-        q = LevelSetQuery(u=ball, params=P(1.0, dim=2), lam=2.0)
-        offsets = np.linspace(-0.9, 0.9, 7)
-        row_a = slice_measures(q, 0.3, offsets)
-        row_b = slice_measures(q, 2.1, offsets)
-        for a, b in zip(row_a, row_b):
-            assert a.value == b.value
+        est = nu_measure(LevelSetQuery(u=ball, params=P(1.0, dim=2), lam=2.0))
+        assert est.value == pytest.approx(6.221544984276007, rel=1e-12)
+        assert est.error_bound == pytest.approx(0.11265874202762975, rel=1e-6)
 
     def test_rotation_matches_montecarlo_on_the_disc(self):
         ball = get("ball_indicator(1)", dim=2)
@@ -94,6 +104,17 @@ class TestMonteCarlo:
         c = nu_measure(LevelSetQuery(**q, seed=4))
         assert a.value == b.value
         assert a.value != c.value
+
+    def test_jump_at_constant_threshold_is_not_member(self):
+        # membership is strict: a jump of 1 is not above lambda = 1 at b = -1
+        ball = get("ball_indicator(1)", dim=2)
+        est = nu_measure(
+            LevelSetQuery(
+                u=ball, params=P(-2.0, 2.0, dim=2), lam=1.0,
+                method="montecarlo", seed=3, mc_samples=20_000,
+            )
+        )
+        assert est.value == 0.0
 
     def test_rejects_noncompact_support(self):
         step = make_standard("halfline_step")

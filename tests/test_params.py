@@ -1,9 +1,8 @@
-"""Regime triple: derived quotient exponent and total classification."""
+"""Regime triple: derived quotient exponent and validation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from slopelab.params import Params, Regime, classify
+from slopelab.params import Params
 
 
 class TestParams:
@@ -16,23 +15,3 @@ class TestParams:
             Params(dim=0, p=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             Params(dim=1, p=0.5, gamma=1.0)
-
-    def test_limit_directions(self):
-        assert Params(dim=1, p=1.0, gamma=2.0).limit_direction == "up"
-        assert Params(dim=1, p=1.0, gamma=-2.0).limit_direction == "down"
-
-    @given(
-        p=st.floats(min_value=1.0, max_value=50.0),
-        gamma=st.floats(min_value=-50.0, max_value=50.0),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_classification_is_total(self, p, gamma):
-        assert classify(p, gamma) in Regime
-
-    def test_known_regimes(self):
-        assert classify(1.0, -0.5) is Regime.NEG_UNIT_P1
-        assert classify(2.0, -0.5) is Regime.NEG_UNIT_P_GT1
-        assert classify(1.0, -1.0) is Regime.NEG_UNIT_P1
-        assert classify(3.0, -7.0) is Regime.BELOW_MINUS_ONE
-        assert classify(1.0, 0.0) is Regime.GAMMA_ZERO
-        assert classify(1.0, 4.0) is Regime.GAMMA_POSITIVE

@@ -44,8 +44,8 @@ class LevelSetQuery:
     mc_samples: int = 200_000
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if self.annulus is not None:
             d, r = self.annulus
             if d < 0 or r < d:

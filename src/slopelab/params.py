@@ -6,6 +6,7 @@ so b * p == gamma holds exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -21,7 +22,9 @@ class Params:
     def __post_init__(self):
         if self.dim < 1 or int(self.dim) != self.dim:
             raise ValueError(f"dimension must be a positive integer, got {self.dim}")
-        if not self.p >= 1:
-            raise ValueError(f"p must satisfy p >= 1, got {self.p}")
+        if not (self.p >= 1 and math.isfinite(self.p)):
+            raise ValueError(f"p must be finite with p >= 1, got {self.p}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "b", self.gamma / self.p)

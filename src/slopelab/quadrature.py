@@ -366,28 +366,55 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
     """Round-based quadtree refinement of indicator cells.
 
+    A cell [x1, x2] x [h1, h2] is sampled on the 3x3 stencil of its corners
+    and midpoints, 0.5 (x1 + x2) in x and sqrt(h1 h2) in h.  A split puts the
+    parent's midpoints on the children's corners, so child (a, b) inherits
+    the corner samples ok[a:a+2, b:b+2] of its parent bit for bit and asks
+    ``member`` only for the five pairs of its plus: the middle column and
+    the two ends of the middle row.  Cells of the first round have no parent
+    and sample all nine.  ``member(x, h)`` takes abscissae of shape (n, 1, k)
+    and separations of shape (1, m, k) and returns the (n, m, k) membership
+    of the pairs (x, x + h), so the profile runs once per abscissa plus once
+    per pair: 3 + 9 points for a first-round cell, 3 + 5 for a child.  The
+    cell axis is last so that numpy's inner loops run along it.
+
+    ``evaluations`` counts stencil pairs, nine per cell whether sampled or
+    inherited, not profile points: refinement decisions and the budget are
+    the same as for a full 3x3 sampling of every cell.
+
     Returns (inside_mass, unresolved_mass, evaluations, rounds); rounds is
-    negative when the evaluation budget ran out before the target was met.
+    negative when the evaluation budget ran out, whether or not the target
+    was met in that round.  Raises ValueError on a non-finite cell weight.
     """
     x1, x2, h1, h2 = cells
+    corners = None            # (2, 2, k) samples inherited from the parent
     inside = 0.0
     unresolved = 0.0
     evals = 0
     rounds = 0
     while len(x1):
-        w = (x2 - x1) * shell_weight(gamma, h1, h2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (x2 - x1) * shell_weight(gamma, h1, h2)
+        if not np.isfinite(w).all():
+            raise ValueError(
+                f"non-finite interior cell weight at gamma={gamma:g} for separations "
+                f"down to {float(h1.min()):g}: the weight h^(gamma-1) overflows"
+            )
         live = w > 0
         x1, x2, h1, h2, w = x1[live], x2[live], h1[live], h2[live], w[live]
         if not len(x1):
             break
-        xs = np.stack([x1, 0.5 * (x1 + x2), x2], axis=1)
-        hs = np.stack([h1, np.sqrt(h1 * h2), h2], axis=1)
-        ok = member(
-            np.repeat(xs[:, :, None], 3, axis=2).reshape(-1),
-            np.repeat(hs[:, None, :], 3, axis=1).reshape(-1),
-        ).reshape(-1, 3, 3)
+        xs = np.stack([x1, 0.5 * (x1 + x2), x2])
+        hs = np.stack([h1, np.sqrt(h1 * h2), h2])
+        if corners is None:
+            ok = member(xs[:, None], hs[None, :])
+        else:
+            ok = np.empty((3, 3, len(x1)), dtype=bool)
+            ok[::2, ::2] = corners[:, :, live]
+            ok[1:2] = member(xs[1:2, None], hs[None, :])
+            ok[::2, 1:2] = member(xs[::2, None], hs[None, 1:2])
         evals += ok.size
-        counts = ok.sum(axis=(1, 2))
+        counts = ok.sum(axis=(0, 1))
         full = counts == 9
         rounds += 1
         if rounds <= min_rounds and len(x1) <= 40_000:
@@ -400,27 +427,29 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
 
         mw = w[mixed]
         total_mixed = float(mw.sum())
-        if rounds > min_rounds and total_mixed <= target:
-            unresolved += total_mixed
-            break
         if evals >= budget_left:
             unresolved += total_mixed
             return inside, unresolved, evals, -rounds
+        if rounds > min_rounds and total_mixed <= target:
+            unresolved += total_mixed
+            break
 
-        mx1, mx2, mh1, mh2 = x1[mixed], x2[mixed], h1[mixed], h2[mixed]
+        mx1, mx2, mh1, mh2, mok = x1[mixed], x2[mixed], h1[mixed], h2[mixed], ok[:, :, mixed]
         keep = mw > target / (2.0 * max_cells)
         if rounds > min_rounds:
             unresolved += float(mw[~keep].sum())
         else:
             km = counts[mixed] > 0
             unresolved += float(mw[~keep & km].sum())
-        mx1, mx2, mh1, mh2, mw = mx1[keep], mx2[keep], mh1[keep], mh2[keep], mw[keep]
+        mx1, mx2, mh1, mh2, mok, mw = (
+            mx1[keep], mx2[keep], mh1[keep], mh2[keep], mok[:, :, keep], mw[keep]
+        )
         if len(mx1) > max_cells // 4:
             order = np.argsort(mw, kind="stable")[::-1]
             cutoff = max_cells // 4
             unresolved += float(mw[order[cutoff:]].sum())
             sel = order[:cutoff]
-            mx1, mx2, mh1, mh2 = mx1[sel], mx2[sel], mh1[sel], mh2[sel]
+            mx1, mx2, mh1, mh2, mok = mx1[sel], mx2[sel], mh1[sel], mh2[sel], mok[:, :, sel]
         if not len(mx1):
             break
         xm = 0.5 * (mx1 + mx2)
@@ -429,6 +458,9 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
         x2 = np.concatenate([xm, mx2, xm, mx2])
         h1 = np.concatenate([mh1, mh1, hm, hm])
         h2 = np.concatenate([hm, hm, mh2, mh2])
+        # stencil offsets (x, h) of the children, in the order just built
+        quarters = ((0, 0), (1, 0), (0, 1), (1, 1))
+        corners = np.concatenate([mok[a:a + 2, b:b + 2] for a, b in quarters], axis=2)
     return inside, unresolved, evals, rounds
 
 
@@ -481,13 +513,19 @@ def measure_line(
     ``h_window`` restricts to an annulus delta <= |x-y| <= R; ``pair_box``
     restricts both coordinates to an interval (plateau interactions are then
     out of scope and the cells cover the box); ``region`` is an extra
-    predicate on pairs.  ``interface_points`` asserts that every member pair
+    elementwise predicate on pairs, called with broadcastable x and y
+    arrays.  ``interface_points`` asserts that every member pair
     at small separation straddles one of that many interface points,
     replacing the generic Lipschitz cutoff (used by the self-similar cross
     terms, whose Lipschitz constants are astronomically large).
+
+    ``budget`` caps the stencil-pair evaluations of the whole query: the
+    preview, both interior passes and every probe pass draw on one counter,
+    and a query that exhausts it raises ``BudgetExceededError`` carrying the
+    partial estimate.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     beta = 1.0 + b
     diag: dict = {}
     lo, hi = profile.lo, profile.hi
@@ -503,11 +541,17 @@ def measure_line(
     boxed = pair_box is not None
     box_lo, box_hi = pair_box if boxed else (-math.inf, math.inf)
 
+    def f(a):
+        # a profile callable is only asked for 1-D arrays
+        return profile.f(a.reshape(-1)).reshape(a.shape)
+
     def member(x, h):
-        y = x + h
+        # x (n, 1, k) against h (1, m, k): f once per abscissa and the
+        # threshold once per separation; only f(x + h) is per pair
         with np.errstate(over="ignore", invalid="ignore"):
             thr = lam * h**beta
-        ok = np.abs(profile.f(x) - profile.f(y)) > thr
+        y = x + h
+        ok = np.abs(f(x) - f(y)) > thr
         if boxed:
             ok &= (x >= box_lo) & (y <= box_hi)
         else:
@@ -541,11 +585,18 @@ def measure_line(
         cells_hi = min(h_hi, profile.span)
         x_lo, x_hi = lo, hi
 
+    evals = 0  # stencil-pair evaluations of the whole query
+
     def run_cells(cell_lo, cell_top, target):
+        nonlocal evals
         if cell_lo >= cell_top or x_lo >= x_hi:
-            return 0.0, 0.0, 0, 0
+            return 0.0, 0.0, 0
         cells = _initial_cells(profile, x_lo, x_hi, cell_lo, cell_top)
-        return _refine(member, cells, gamma, target, max_cells, budget)
+        inside, unresolved, spent, rounds = _refine(
+            member, cells, gamma, target, max_cells, budget - evals
+        )
+        evals += spent
+        return inside, unresolved, rounds
 
     # --- plateau interactions (closed form in h) ---------------------------
     tail_v = 0.0
@@ -567,21 +618,32 @@ def measure_line(
             )
         probe_target = max(abs_tol, 5e-3 * max(tail_v, 1.0))
         d0 = max(profile.span, 1.0) / 64.0
-        base_in, base_un, evals, _ = run_cells(d0, cells_hi, probe_target)
+        base_in, base_un, rounds = run_cells(d0, cells_hi, probe_target)
         total = base_in + 0.5 * base_un + tail_v
         vals = [total]
         lo_edge = d0
         for _ in range(3):
+            if rounds < 0:
+                break
             nxt = lo_edge / 2.0
-            inc_in, inc_un, inc_ev, _ = run_cells(nxt, lo_edge, probe_target)
+            inc_in, inc_un, rounds = run_cells(nxt, lo_edge, probe_target)
             total += inc_in + 0.5 * inc_un
-            evals += inc_ev
             vals.append(total)
             lo_edge = nxt
         growth = [(v2 - v1) / max(v1, 1e-300) for v1, v2 in zip(vals, vals[1:])]
         diag["probe_values"] = vals
         diag["probe_growth"] = growth
         diag["reason"] = cut.reason
+        if rounds < 0:
+            # the mass below the last truncation is unknown, maybe infinite
+            diag["probe"] = "budget exhausted"
+            raise BudgetExceededError(
+                f"evaluation budget {budget} exhausted during the divergence probe",
+                EngineEstimate(
+                    2.0 * total, math.inf, evaluations=evals, tail=2.0 * tail_v,
+                    diagnostics=diag,
+                ),
+            )
         if all(g > GROWTH_THRESHOLD for g in growth):
             diag["probe"] = "confirmed divergent"
             return EngineEstimate(math.inf, math.inf, evaluations=evals, diagnostics=diag)
@@ -592,8 +654,8 @@ def measure_line(
         )
 
     # --- near cutoff --------------------------------------------------------
-    evals = 0
     rem = 0.0
+    rounds = 0
     if h_lo > 0.0:
         cell_lo = h_lo
     elif cut.kind == "zero":
@@ -601,8 +663,7 @@ def measure_line(
     else:
         guess = max(abs_tol, rel_tol * max(tail_v, 1.0), 1e-12)
         pv_lo = max(cut.cut_for(guess), PRECISION_FLOOR)
-        pv_in, pv_un, pv_ev, _ = run_cells(pv_lo, cells_hi, 8.0 * guess)
-        evals += pv_ev
+        pv_in, pv_un, rounds = run_cells(pv_lo, cells_hi, 8.0 * guess)
         scale = pv_in + 0.5 * pv_un + tail_v
         diag["preview_value"] = scale
         target_rem = max(abs_tol, rel_tol * scale) / 4.0
@@ -616,14 +677,16 @@ def measure_line(
         rem = 0.0
 
     # --- interior cells -----------------------------------------------------
-    target1 = max(abs_tol, rel_tol * max(tail_v, 1.0)) / 2.0
-    inside, unresolved, ev1, rounds = run_cells(cell_lo, cells_hi, target1)
-    evals += ev1
-    scale = inside + 0.5 * unresolved + 0.5 * rem + tail_v
-    target2 = max(abs_tol, rel_tol * scale) / 2.0
-    if rounds >= 0 and unresolved > target2 and scale > 0:
-        inside, unresolved, ev2, rounds = run_cells(cell_lo, cells_hi, target2)
-        evals += ev2
+    if rounds < 0:
+        # the preview spent the budget: its cells give the partial estimate
+        inside, unresolved, cell_lo, rem = pv_in, pv_un, pv_lo, cut.remainder(pv_lo)
+    else:
+        target1 = max(abs_tol, rel_tol * max(tail_v, 1.0)) / 2.0
+        inside, unresolved, rounds = run_cells(cell_lo, cells_hi, target1)
+        scale = inside + 0.5 * unresolved + 0.5 * rem + tail_v
+        target2 = max(abs_tol, rel_tol * scale) / 2.0
+        if rounds >= 0 and unresolved > target2 and scale > 0:
+            inside, unresolved, rounds = run_cells(cell_lo, cells_hi, target2)
 
     diag["h_cut"] = cell_lo
     diag["near_remainder"] = rem

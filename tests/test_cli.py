@@ -79,6 +79,15 @@ class TestExitCodes:
         )
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--gamma", "nan"), ("--p", "inf"), ("--lambda", "inf")]
+    )
+    def test_non_finite_input_is_config_error(self, tmp_path, flag, value):
+        args = {"--gamma": "-2", "--p": "1", "--lambda": "1", flag: value}
+        argv = ["measure", "--fn", "tent"] + [t for kv in args.items() for t in kv]
+        code, _, _ = run(tmp_path, "nonfinite", argv)
+        assert code == EXIT_BAD_CONFIG
+
     def test_infinite_where_finite_required(self, tmp_path):
         code, _, _ = run(
             tmp_path,

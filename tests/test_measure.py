@@ -1,11 +1,13 @@
 """The measure engine against closed forms, brute force, and its invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from slopelab.catalog import make_standard, dilate, negate, reflect
+from slopelab.cantor import CantorSpec, staircase_function
+from slopelab.catalog import dilate, get, make_standard, negate, reflect
 from slopelab.constants import halfline_closed_form
 from slopelab.measure import (
     BudgetExceededError,
@@ -16,6 +18,7 @@ from slopelab.measure import (
 )
 from slopelab.params import Params
 from slopelab.quadrature import measure_line
+from slopelab.selfsimilar import box_measure, cross_term
 
 
 def P(gamma, p=1.0, dim=1):
@@ -231,3 +234,119 @@ class TestSentinels:
                 LevelSetQuery(u=tent, params=P(1.0), lam=8.0, rel_tol=1e-6, budget=2000)
             )
         assert err.value.partial.value >= 0.0
+
+
+class TestSharedVertexSampling:
+    # (value, error_bound, evaluations) from a full 3x3 sampling of every
+    # cell; inheriting the parent's corner samples must not move a bit
+    PINNED = {
+        "tent": (
+            lambda: nu_measure(LevelSetQuery(u=make_standard("tent"), params=P(-0.5), lam=0.1)),
+            ("0x1.4641027c1075fp+5", "0x1.7b271ef149a34p-8", 2134422),
+        ),
+        "smooth_bump": (
+            lambda: nu_measure(
+                LevelSetQuery(u=make_standard("smooth_bump"), params=P(1.0), lam=0.5)
+            ),
+            ("0x1.29314c079a715p+1", "0x1.93467f1573462p-9", 1112508),
+        ),
+        "mollified_indicator": (
+            lambda: nu_measure(
+                LevelSetQuery(u=get("mollified_indicator(4)"), params=P(-2.0), lam=0.5)
+            ),
+            ("0x1.c7c73e2e31763p+3", "0x1.185e06e877454p-7", 1742346),
+        ),
+        "probe": (
+            lambda: nu_measure(
+                LevelSetQuery(u=get("mollified_indicator(4)"), params=P(0.0), lam=1.5)
+            ),
+            ("0x1.9f2e72c1995e8p+2", "0x1.0972200f18dc9p+0", 794430),
+        ),
+        "box_measure": (
+            lambda: box_measure(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
+            ("0x1.7f7c7d53d777ap+4", "0x1.c06006efa9590p-5", 8717598),
+        ),
+        "cross_term": (
+            lambda: cross_term(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
+            ("0x1.082dc1221c961p+2", "0x1.68b85471fadb6p-5", 754524),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_bit_identical(self, case):
+        run, (value, error, evaluations) = self.PINNED[case]
+        est = run()
+        error_bound = est.error_bound if hasattr(est, "error_bound") else est.error
+        assert est.value == float.fromhex(value)
+        assert error_bound == float.fromhex(error)
+        assert est.evaluations == evaluations
+
+    def test_profile_points_at_most_stencil_pairs(self):
+        # fresh sampling costs 18 profile points per cell (2 per stencil
+        # pair); with f(x) once per abscissa and inherited corners a child
+        # cell costs 8 for its 9 pairs
+        prof = staircase_function(CantorSpec(gamma=-0.5, m=2)).line_profile()
+        points = 0
+
+        def counting_f(x):
+            nonlocal points
+            points += np.size(x)
+            return prof.f(x)
+
+        counted = dataclasses.replace(prof, f=counting_f)
+        est = measure_line(counted, -0.5, -0.5, 0.25, pair_box=(0.0, 1.0), rel_tol=0.05)
+        assert est.value == box_measure(-0.5, 1.0, 0.25, 2, rel_tol=0.05).value
+        assert 0 < points <= est.evaluations
+
+
+class TestBudgetPerQuery:
+    def test_probe_exhaustion_raises_with_partial(self):
+        # 2,000 evaluations cannot settle divergence: the probe must say
+        # so rather than return inf
+        tent = make_standard("tent")
+        with pytest.raises(BudgetExceededError) as err:
+            nu_measure(LevelSetQuery(u=tent, params=P(0.0), lam=0.5, budget=2000))
+        partial = err.value.partial
+        assert math.isfinite(partial.value) and partial.value > 0.0
+        assert partial.diagnostics["probe"] == "budget exhausted"
+
+    @pytest.mark.parametrize("budget", [2_000, 50_000, 250_000, 527_778, 2_000_000])
+    def test_evaluations_within_budget_unless_raised(self, budget):
+        # unbudgeted, this query takes 1,055,556 evaluations over a preview
+        # and two passes; at 2,000 the preview alone spends the budget
+        tent = make_standard("tent")
+        q = LevelSetQuery(u=tent, params=P(1.0), lam=3.0, budget=budget)
+        try:
+            est = nu_measure(q)
+        except BudgetExceededError as err:
+            assert budget < 1_055_556
+            assert err.partial.evaluations >= budget
+            assert err.partial.error < math.inf
+            return
+        assert est.evaluations <= budget
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        tent = make_standard("tent")
+        with pytest.raises(ValueError):
+            LevelSetQuery(u=tent, params=P(-2.0), lam=lam)
+        with pytest.raises(ValueError):
+            measure_line(tent.line_profile(), -2.0, -2.0, lam)
+
+    def test_non_finite_cell_weight_raises_before_sampling(self):
+        # at lambda = 1e-300 the cells start at h = 1e-250, where h^-2
+        # overflows: the engine must stop, not drop those cells
+        bump = make_standard("smooth_bump").line_profile()
+        calls = 0
+
+        def counting_f(x):
+            nonlocal calls
+            calls += 1
+            return bump.f(x)
+
+        counted = dataclasses.replace(bump, f=counting_f)
+        with pytest.raises(ValueError, match="non-finite"):
+            measure_line(counted, -2.0, -2.0, 1e-300, pair_box=(-1.0, 1.0))
+        assert calls == 0

@@ -1,5 +1,7 @@
 """Regime triple: derived quotient exponent and validation."""
 
+import math
+
 import pytest
 
 from slopelab.params import Params
@@ -15,3 +17,12 @@ class TestParams:
             Params(dim=0, p=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             Params(dim=1, p=0.5, gamma=1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("gamma", -math.inf),
+        ("p", math.nan), ("p", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"dim": 1, "p": 1.0, "gamma": 1.0, field: value}
+        with pytest.raises(ValueError):
+            Params(**kwargs)

@@ -366,28 +366,33 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
     """Round-based quadtree refinement of indicator cells.
 
-    A cell [x1, x2] x [h1, h2] is sampled on the 3x3 stencil of its corners
-    and midpoints, 0.5 (x1 + x2) in x and sqrt(h1 h2) in h.  A split puts the
-    parent's midpoints on the children's corners, so child (a, b) inherits
-    the corner samples ok[a:a+2, b:b+2] of its parent bit for bit and asks
-    ``member`` only for the five pairs of its plus: the middle column and
-    the two ends of the middle row.  Cells of the first round have no parent
-    and sample all nine.  ``member(x, h)`` takes abscissae of shape (n, 1, k)
-    and separations of shape (1, m, k) and returns the (n, m, k) membership
-    of the pairs (x, x + h), so the profile runs once per abscissa plus once
-    per pair: 3 + 9 points for a first-round cell, 3 + 5 for a child.  The
-    cell axis is last so that numpy's inner loops run along it.
+    A cell [x1, x2] x [h1, h2] is judged on the 3x3 stencil of its corners
+    and midpoints, 0.5 (x1 + x2) in x and sqrt(h1 h2) in h.  Cells of the
+    first round sample all nine pairs.  A cell that is split is sampled once
+    more, on its 5x5 half-step grid: the abscissae x1, 0.5 (x1 + xm), xm,
+    0.5 (xm + x2), x2 against the separations h1, sqrt(h1 hm), hm,
+    sqrt(hm h2), h2.  Its own 3x3 samples fill the even indices, and
+    ``member`` is asked for the two odd rows against all five separations
+    and for the three even rows against the two odd separations: 16 pairs,
+    5 + 16 profile points per split.  Child (a, b) takes g[2a:2a+3, 2b:2b+3]
+    as its stencil, so every cell of a later round starts with its nine
+    samples known; its midpoints are the same doubles it would compute
+    itself.  ``member(x, h)`` takes abscissae of shape (n, 1, k) and
+    separations of shape (1, m, k) and returns the (n, m, k) membership of
+    the pairs (x, x + h), so the profile runs once per abscissa plus once
+    per pair.  The cell axis is last so that numpy's inner loops run along
+    it.
 
-    ``evaluations`` counts stencil pairs, nine per cell whether sampled or
-    inherited, not profile points: refinement decisions and the budget are
-    the same as for a full 3x3 sampling of every cell.
+    ``evaluations`` counts stencil pairs, nine per live cell, not profile
+    points: refinement decisions and the budget are the same as for a full
+    3x3 sampling of every cell.
 
     Returns (inside_mass, unresolved_mass, evaluations, rounds); rounds is
     negative when the evaluation budget ran out, whether or not the target
     was met in that round.  Raises ValueError on a non-finite cell weight.
     """
     x1, x2, h1, h2 = cells
-    corners = None            # (2, 2, k) samples inherited from the parent
+    ok = None                 # (3, 3, k) stencil samples, known after a split
     inside = 0.0
     unresolved = 0.0
     evals = 0
@@ -404,15 +409,12 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
         x1, x2, h1, h2, w = x1[live], x2[live], h1[live], h2[live], w[live]
         if not len(x1):
             break
-        xs = np.stack([x1, 0.5 * (x1 + x2), x2])
-        hs = np.stack([h1, np.sqrt(h1 * h2), h2])
-        if corners is None:
+        if ok is None:
+            xs = np.stack([x1, 0.5 * (x1 + x2), x2])
+            hs = np.stack([h1, np.sqrt(h1 * h2), h2])
             ok = member(xs[:, None], hs[None, :])
         else:
-            ok = np.empty((3, 3, len(x1)), dtype=bool)
-            ok[::2, ::2] = corners[:, :, live]
-            ok[1:2] = member(xs[1:2, None], hs[None, :])
-            ok[::2, 1:2] = member(xs[::2, None], hs[None, 1:2])
+            ok = ok[:, :, live]
         evals += ok.size
         counts = ok.sum(axis=(0, 1))
         full = counts == 9
@@ -425,7 +427,8 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
             mixed = (counts > 0) & ~full
         inside += float(w[full].sum())
 
-        mw = w[mixed]
+        sel = np.flatnonzero(mixed)
+        mw = w[sel]
         total_mixed = float(mw.sum())
         if evals >= budget_left:
             unresolved += total_mixed
@@ -434,33 +437,35 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
             unresolved += total_mixed
             break
 
-        mx1, mx2, mh1, mh2, mok = x1[mixed], x2[mixed], h1[mixed], h2[mixed], ok[:, :, mixed]
         keep = mw > target / (2.0 * max_cells)
         if rounds > min_rounds:
             unresolved += float(mw[~keep].sum())
         else:
-            km = counts[mixed] > 0
-            unresolved += float(mw[~keep & km].sum())
-        mx1, mx2, mh1, mh2, mok, mw = (
-            mx1[keep], mx2[keep], mh1[keep], mh2[keep], mok[:, :, keep], mw[keep]
-        )
-        if len(mx1) > max_cells // 4:
+            unresolved += float(mw[~keep & (counts[sel] > 0)].sum())
+        sel, mw = sel[keep], mw[keep]
+        cutoff = max_cells // 4
+        if len(sel) > cutoff:
             order = np.argsort(mw, kind="stable")[::-1]
-            cutoff = max_cells // 4
             unresolved += float(mw[order[cutoff:]].sum())
-            sel = order[:cutoff]
-            mx1, mx2, mh1, mh2, mok = mx1[sel], mx2[sel], mh1[sel], mh2[sel], mok[:, :, sel]
-        if not len(mx1):
+            sel = sel[order[:cutoff]]
+        if not len(sel):
             break
+        mx1, mx2, mh1, mh2 = x1[sel], x2[sel], h1[sel], h2[sel]
         xm = 0.5 * (mx1 + mx2)
         hm = np.sqrt(mh1 * mh2)
+        xg = np.stack([mx1, 0.5 * (mx1 + xm), xm, 0.5 * (xm + mx2), mx2])
+        hg = np.stack([mh1, np.sqrt(mh1 * hm), hm, np.sqrt(hm * mh2), mh2])
+        g = np.empty((5, 5, len(sel)), dtype=bool)
+        g[::2, ::2] = ok[:, :, sel]
+        g[1::2] = member(xg[1::2, None], hg[None, :])
+        g[::2, 1::2] = member(xg[::2, None], hg[None, 1::2])
         x1 = np.concatenate([mx1, xm, mx1, xm])
         x2 = np.concatenate([xm, mx2, xm, mx2])
         h1 = np.concatenate([mh1, mh1, hm, hm])
         h2 = np.concatenate([hm, hm, mh2, mh2])
         # stencil offsets (x, h) of the children, in the order just built
         quarters = ((0, 0), (1, 0), (0, 1), (1, 1))
-        corners = np.concatenate([mok[a:a + 2, b:b + 2] for a, b in quarters], axis=2)
+        ok = np.concatenate([g[2 * a:2 * a + 3, 2 * b:2 * b + 3] for a, b in quarters], axis=2)
     return inside, unresolved, evals, rounds
 
 

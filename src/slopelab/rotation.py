@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .measure import LevelSetQuery, MeasureEstimate
-from .quadrature import measure_line
+from .quadrature import BudgetExceededError, EngineEstimate, measure_line
 
 __all__ = ["measure_rotation2d"]
 
@@ -39,6 +39,10 @@ def measure_rotation2d(q: LevelSetQuery) -> MeasureEstimate:
     """2 pi times the trapezoid integral of slice measures over offsets in [0, R].
 
     Requires a radial entry: ``q.u.slicer(theta, s)`` may depend only on |s|.
+    The slices draw on one evaluation budget, ``q.budget``: each gets what
+    the earlier ones left, and a slice that exhausts it raises
+    ``BudgetExceededError`` whose partial is the integral over the slices so
+    far (later offsets count as zero) with an infinite error.
     """
     if q.params.dim != 2:
         raise ValueError("rotation slicing requires dim == 2")
@@ -46,6 +50,10 @@ def measure_rotation2d(q: LevelSetQuery) -> MeasureEstimate:
         raise ValueError(f"{q.u.id} does not provide slices for the rotation method")
 
     offsets = np.linspace(0.0, _enclosing_radius(q.u), N_OFFSETS)
+
+    def integral(vals, off):
+        return 2.0 * math.pi * float(np.trapezoid(vals, off))
+
     values = np.zeros(N_OFFSETS)
     errors = np.zeros(N_OFFSETS)
     tails = np.zeros(N_OFFSETS)
@@ -54,16 +62,30 @@ def measure_rotation2d(q: LevelSetQuery) -> MeasureEstimate:
         prof = q.u.slicer(0.0, float(s))
         if prof is None:
             continue
-        est = measure_line(
-            prof,
-            q.params.gamma,
-            q.params.b,
-            q.lam,
-            h_window=q.annulus,
-            rel_tol=q.rel_tol * 2.0,
-            abs_tol=q.abs_tol,
-            budget=q.budget,
-        )
+        try:
+            est = measure_line(
+                prof,
+                q.params.gamma,
+                q.params.b,
+                q.lam,
+                h_window=q.annulus,
+                rel_tol=q.rel_tol * 2.0,
+                abs_tol=q.abs_tol,
+                budget=q.budget - evals,
+            )
+        except BudgetExceededError as exc:
+            values[j] = exc.partial.value
+            partial = EngineEstimate(
+                integral(values, offsets),
+                math.inf,
+                evaluations=evals + exc.partial.evaluations,
+                diagnostics={"slices_done": j, "slices": N_OFFSETS},
+            )
+            raise BudgetExceededError(
+                f"evaluation budget {q.budget} exhausted at rotation slice {j + 1} "
+                f"of {N_OFFSETS}",
+                partial,
+            ) from exc
         if math.isinf(est.value):
             return MeasureEstimate(
                 value=math.inf,
@@ -75,9 +97,6 @@ def measure_rotation2d(q: LevelSetQuery) -> MeasureEstimate:
         errors[j] = est.error
         tails[j] = est.tail
         evals += est.evaluations
-
-    def integral(vals, off):
-        return 2.0 * math.pi * float(np.trapezoid(vals, off))
 
     value = integral(values, offsets)
     quad_err = abs(value - integral(values[::2], offsets[::2]))

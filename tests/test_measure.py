@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slopelab.analysis import rectangle_floor_measure
 from slopelab.cantor import CantorSpec, staircase_function
 from slopelab.catalog import dilate, get, make_standard, negate, reflect
 from slopelab.constants import halfline_closed_form
@@ -238,7 +239,7 @@ class TestSentinels:
 
 class TestSharedVertexSampling:
     # (value, error_bound, evaluations) from a full 3x3 sampling of every
-    # cell; inheriting the parent's corner samples must not move a bit
+    # cell; sampling a split cell on its 5x5 half-step grid must not move a bit
     PINNED = {
         "tent": (
             lambda: nu_measure(LevelSetQuery(u=make_standard("tent"), params=P(-0.5), lam=0.1)),
@@ -270,6 +271,14 @@ class TestSharedVertexSampling:
             lambda: cross_term(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
             ("0x1.082dc1221c961p+2", "0x1.68b85471fadb6p-5", 754524),
         ),
+        "annulus": (
+            lambda: nu_measure(
+                LevelSetQuery(
+                    u=make_standard("tent"), params=P(0.0), lam=0.5, annulus=(2**-8, 1.0)
+                )
+            ),
+            ("0x1.3dd4f3a7bd6d3p+3", "0x1.e9a262c8115a0p-10", 1736568),
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -281,10 +290,27 @@ class TestSharedVertexSampling:
         assert error_bound == float.fromhex(error)
         assert est.evaluations == evaluations
 
+    def test_region_with_narrow_window_pinned(self):
+        # a region predicate and an annulus only slightly wider than the
+        # witness rectangle's separations
+        value = rectangle_floor_measure(-0.5, 1.0, 0.25, rel_tol=0.05)
+        assert value == float.fromhex("0x1.1ade0819ce4f1p-8")
+
+    def test_budget_partial_pinned(self):
+        # the partial reflects the sampling order when the budget runs out
+        tent = make_standard("tent")
+        with pytest.raises(BudgetExceededError) as err:
+            nu_measure(LevelSetQuery(u=tent, params=P(1.0), lam=3.0, budget=250_000))
+        partial = err.value.partial
+        assert partial.value == float.fromhex("0x1.206f8b7d03ddcp-1")
+        assert partial.error == float.fromhex("0x1.dade95eb11eadp-5")
+        assert partial.evaluations == 256428
+
     def test_profile_points_at_most_stencil_pairs(self):
         # fresh sampling costs 18 profile points per cell (2 per stencil
-        # pair); with f(x) once per abscissa and inherited corners a child
-        # cell costs 8 for its 9 pairs
+        # pair); a split samples its 5x5 half-step grid with 5 + 16 points
+        # and hands its four children their 36 stencil pairs, about 0.58
+        # points per pair on this staircase
         prof = staircase_function(CantorSpec(gamma=-0.5, m=2)).line_profile()
         points = 0
 
@@ -296,7 +322,7 @@ class TestSharedVertexSampling:
         counted = dataclasses.replace(prof, f=counting_f)
         est = measure_line(counted, -0.5, -0.5, 0.25, pair_box=(0.0, 1.0), rel_tol=0.05)
         assert est.value == box_measure(-0.5, 1.0, 0.25, 2, rel_tol=0.05).value
-        assert 0 < points <= est.evaluations
+        assert 0 < points <= 0.6 * est.evaluations
 
 
 class TestBudgetPerQuery:
@@ -322,6 +348,33 @@ class TestBudgetPerQuery:
             assert budget < 1_055_556
             assert err.partial.evaluations >= budget
             assert err.partial.error < math.inf
+            return
+        assert est.evaluations <= budget
+
+
+class TestRotationBudget:
+    QUERY = dict(
+        u=make_standard("smooth_bump", dim=2), params=P(1.0, 1.0, dim=2), lam=4.0, rel_tol=0.1
+    )
+
+    def test_slices_share_the_budget(self):
+        # unbudgeted, the 33 slices take 3,523,698 evaluations in all, and no
+        # single slice reaches 500,000
+        with pytest.raises(BudgetExceededError) as err:
+            nu_measure(LevelSetQuery(**self.QUERY, budget=500_000))
+        partial = err.value.partial
+        assert partial.evaluations >= 500_000
+        assert math.isfinite(partial.value) and partial.value > 0.0
+        assert partial.error == math.inf
+        assert 0 < partial.diagnostics["slices_done"] < partial.diagnostics["slices"]
+
+    @pytest.mark.parametrize("budget", [50_000, 500_000, 2_000_000, 3_600_000, 40_000_000])
+    def test_evaluations_within_budget_unless_raised(self, budget):
+        try:
+            est = nu_measure(LevelSetQuery(**self.QUERY, budget=budget))
+        except BudgetExceededError as err:
+            assert budget <= 3_523_698
+            assert err.partial.evaluations >= budget
             return
         assert est.evaluations <= budget
 

@@ -6,7 +6,6 @@ limits, weak-type quasi-norms, and divergence certification.
 """
 
 from .analysis import (
-    DivergenceThresholds,
     Sweep,
     bbm_functional,
     bv_indicator_limit,
@@ -26,7 +25,6 @@ from .measure import (
     LevelSetQuery,
     MeasureEstimate,
     nu_measure,
-    nu_measure_truncated,
     quotient,
 )
 from .params import Params
@@ -37,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "CantorSpec",
-    "DivergenceThresholds",
     "LevelSetQuery",
     "MeasureEstimate",
     "Params",
@@ -59,7 +56,6 @@ __all__ = [
     "mollified_indicator",
     "mollified_indicator_growth",
     "nu_measure",
-    "nu_measure_truncated",
     "quotient",
     "series_divergence",
     "sphere_area",

@@ -2,11 +2,10 @@
 quasi-norms, divergence certification, Lipschitz recovery, and the
 small-exponent energy functional.
 
-Divergence classification thresholds follow the defaults in
-``DivergenceThresholds`` (trailing log-log slope below 0.05 with spread under
-3% counts as converged; monotone growth above 50% over the trailing half as
-diverging); they separate the constructions' logarithmic divergences from
-quadrature noise at desk scale and can be overridden per call.
+Divergence classification uses fixed thresholds (trailing log-log slope
+below 0.05 with spread under 3% counts as converged; monotone growth above
+50% over the trailing half as diverging); they separate the constructions'
+logarithmic divergences from quadrature noise at desk scale.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .measure import LevelSetQuery, MeasureEstimate, nu_measure
 from .params import Params
 
 __all__ = [
-    "DivergenceThresholds",
     "Sweep",
     "sweep",
     "detect_divergence",
@@ -43,14 +41,10 @@ class InconclusiveError(RuntimeError):
     """A growth classification stayed ambiguous after widening the probe."""
 
 
-@dataclass(frozen=True)
-class DivergenceThresholds:
-    flat_slope: float = 0.05
-    spread: float = 0.03
-    growth: float = 0.50
-
-
-DEFAULT_THRESHOLDS = DivergenceThresholds()
+FLAT_SLOPE = 0.05   # a converged sweep's trailing log-log slope stays below this
+SPREAD = 0.03       # ... and so does the relative spread of its trailing values
+GROWTH = 0.50       # a diverging sweep grows by more than this over its trailing half
+TRAILING = 3        # trailing values averaged into a converged sweep's limit
 
 
 def geometric_grid(lam_from: float, lam_to: float, count: int) -> np.ndarray:
@@ -75,11 +69,7 @@ class Sweep:
     estimates: list = field(default_factory=list)
 
 
-def detect_divergence(
-    lambdas: Sequence[float],
-    values: Sequence[float],
-    thresholds: DivergenceThresholds = DEFAULT_THRESHOLDS,
-) -> str:
+def detect_divergence(lambdas: Sequence[float], values: Sequence[float]) -> str:
     """Classify a sweep ordered toward its limit direction."""
     lams = np.asarray(lambdas, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -98,10 +88,10 @@ def detect_divergence(
         return "converged" if abs(tv[-1]) <= 1e-14 * scale else "inconclusive"
     slope = float(np.polyfit(np.log(tl), np.log(tv), 1)[0])
     spread = float((tv.max() - tv.min()) / tv.mean())
-    if abs(slope) < thresholds.flat_slope and spread < thresholds.spread:
+    if abs(slope) < FLAT_SLOPE and spread < SPREAD:
         return "converged"
     increments = np.diff(tv)
-    if np.all(increments >= 0) and tv[-1] > (1.0 + thresholds.growth) * tv[0]:
+    if np.all(increments >= 0) and tv[-1] > (1.0 + GROWTH) * tv[0]:
         return "diverging"
     return "inconclusive"
 
@@ -112,8 +102,6 @@ def sweep(
     grid: Sequence[float],
     *,
     rel_tol: float = 5e-3,
-    trailing: int = 3,
-    thresholds: DivergenceThresholds = DEFAULT_THRESHOLDS,
     budget: int = 40_000_000,
 ) -> Sweep:
     """Evaluate lambda^p * measure along a lambda grid and extrapolate."""
@@ -129,16 +117,16 @@ def sweep(
         values[i] = lam ** params.p * est.value
         errors[i] = lam ** params.p * est.error_bound
 
-    classification = detect_divergence(lams, values, thresholds)
+    classification = detect_divergence(lams, values)
     limit = None
     if classification == "converged":
-        tv = values[-trailing:]
-        te = errors[-trailing:]
+        tv = values[-TRAILING:]
+        te = errors[-TRAILING:]
         if np.all(tv == 0):
             limit = 0.0
         else:
             spread = (tv.max() - tv.min()) / max(abs(tv.mean()), 1e-300)
-            if spread < thresholds.spread:
+            if spread < SPREAD:
                 w = 1.0 / np.maximum(te, 1e-12 * np.abs(tv) + 1e-300) ** 2
                 limit = float(np.sum(w * tv) / np.sum(w))
             else:

@@ -24,7 +24,6 @@ __all__ = [
     "MeasureEstimate",
     "quotient",
     "nu_measure",
-    "nu_measure_truncated",
     "BudgetExceededError",
 ]
 
@@ -38,7 +37,6 @@ class LevelSetQuery:
     pair_box: Optional[tuple[float, float]] = None  # restrict both coordinates (1D)
     method: str = "auto"                            # auto | grid1d | rotation2d | montecarlo
     rel_tol: float = 5e-3
-    abs_tol: float = 0.0
     budget: int = 40_000_000
     seed: int = 0
     mc_samples: int = 200_000
@@ -116,7 +114,6 @@ def nu_measure(q: LevelSetQuery) -> MeasureEstimate:
             h_window=q.annulus,
             pair_box=q.pair_box,
             rel_tol=q.rel_tol,
-            abs_tol=q.abs_tol,
             budget=q.budget,
         )
         return _from_engine(est, "grid1d")
@@ -135,9 +132,3 @@ def nu_measure(q: LevelSetQuery) -> MeasureEstimate:
 
     raise ValueError(f"unknown method {method!r}")
 
-
-def nu_measure_truncated(q: LevelSetQuery, delta: float, r_max: float) -> MeasureEstimate:
-    """Measure restricted to the annulus delta <= |x-y| <= r_max."""
-    from dataclasses import replace
-
-    return nu_measure(replace(q, annulus=(delta, r_max)))

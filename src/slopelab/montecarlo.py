@@ -6,66 +6,42 @@ singular weight never appears as an integrand factor.  The estimator weights
 each hit by 1 + [partner outside the box], which makes it unbiased for the
 full measure when the box contains the support (pairs with both points
 outside never belong to the superlevel set of a compactly supported
-function).  The error bound is three standard errors plus the analytic bound
-on the mass below the smallest sampled radius.
+function).
+
+The radii start at the cut of the near-diagonal rule the line engine uses,
+``quadrature.near_diagonal``, which also gives the divergence verdict.  For a
+bounded verdict the mass below the cut, the rule's remainder times the sphere
+area, goes half into the value and half into the error bound; with no
+preview of the value, the remainder is aimed at ``rel_tol / 4``, the line
+engine's remainder target for a value of order one.  A probe verdict, which only
+the line engine's truncation probe settles, is reported as the divergence
+the rule predicts.  The error bound is three standard errors plus that half
+of the remainder.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .constants import sphere_area
 from .measure import LevelSetQuery, MeasureEstimate
+from .profiles import jump_structure
+from .quadrature import PRECISION_FLOOR, near_diagonal
 
 __all__ = ["measure_montecarlo"]
 
 
-def _radius_cuts(q: LevelSetQuery) -> tuple[float, float, float, Optional[str]]:
-    """(r_lo, r_hi, below_bound, divergent_reason) for the radial range."""
-    u = q.u
-    gamma, beta, lam = q.params.gamma, 1.0 + q.params.b, q.lam
-    L = u.lip if u.lip is not None else math.inf
-    M = u.sup_norm
-    boundary = u.grad_bv is not None and (u.lip == 0.0 or u.grad is None)
-
-    if beta > 0.0:
-        r_hi = (2.0 * M / lam) ** (1.0 / beta) if M > 0 else 0.0
-    else:
-        r_hi = math.inf  # gamma < 0 here, the far weight integral converges
-
-    below = 0.0
-    if beta < 0.0:
-        r_lo = (2.0 * M / lam) ** (1.0 / beta) if M > 0 else math.inf
-    elif beta == 0.0:
-        if boundary and 1.0 > lam:
-            return 0.0, 0.0, 0.0, "boundary jump at constant threshold: divergent"
-        r_lo = (lam / L) if math.isfinite(L) and L > 0 else r_hi / 2**20
-    elif beta < 1.0:
-        r_lo = (lam / L) ** (1.0 / (1.0 - beta)) if math.isfinite(L) and L > 0 else 0.0
-        if boundary:
-            if gamma <= -1.0:
-                return 0.0, 0.0, 0.0, "boundary corners diverge for gamma <= -1"
-            r_jump = min(r_lo if r_lo > 0 else math.inf, 2.0 ** (-20))
-            coef = (u.grad_bv or 1.0) * sphere_area(q.params.dim)
-            below = coef * r_jump ** (gamma + 1.0) / (gamma + 1.0)
-            r_lo = r_jump
-        elif r_lo == 0.0:
-            r_lo = 2.0 ** (-40)
-    elif beta == 1.0:
-        if math.isfinite(L) and lam < L:
-            return 0.0, 0.0, 0.0, "lambda below the Lipschitz constant at gamma=0"
-        r_lo = 2.0 ** (-20)
-        coef = (u.grad_bv or 0.0) * sphere_area(q.params.dim)
-        below = coef * r_lo
-    else:
-        # gamma > 0: finite strip weight below the cut
-        r_lo = max((q.rel_tol / 16.0) ** (1.0 / gamma) * 0.1, 2.0 ** (-60))
-        vol = float(np.prod([hi - lo for lo, hi in u.support]))
-        below = (vol + 1.0) * sphere_area(q.params.dim) * r_lo**gamma / gamma
-    return r_lo, r_hi, below, None
+def _jumps(u) -> tuple[float, float, float]:
+    """(largest jump, size of the jump set, gap) of a catalog entry."""
+    if u.dim == 1:
+        return jump_structure(u.jumps)
+    if u.lip == 0.0:
+        # a multiple of an indicator: one jump of size sup |u| across a
+        # boundary of measure grad_bv / sup |u|
+        return u.sup_norm, u.grad_bv / u.sup_norm, math.inf
+    return 0.0, 0, math.inf
 
 
 def _inverse_cdf(gamma: float, a: float, c: float, qs: np.ndarray) -> np.ndarray:
@@ -90,34 +66,47 @@ def measure_montecarlo(q: LevelSetQuery) -> MeasureEstimate:
         raise ValueError("the Monte Carlo estimator needs a compactly supported function")
     dim = q.params.dim
     gamma, beta, lam = q.params.gamma, 1.0 + q.params.b, q.lam
+    lows = np.array([lo for lo, _ in u.support])
+    highs = np.array([hi for _, hi in u.support])
+    volume = float(np.prod(highs - lows))
+    sigma = sphere_area(dim)
 
-    r_lo, r_hi, below, reason = _radius_cuts(q)
-    if reason is not None:
+    jump, jump_set, gap = _jumps(u)
+    cut = near_diagonal(
+        gamma, beta, lam, lipschitz=u.lip if u.lip is not None else math.inf,
+        sup=u.sup_norm, jump=jump, jump_set=jump_set, gap=gap, extent=volume,
+    )
+    d_lo, d_hi = q.annulus if q.annulus is not None else (0.0, math.inf)
+    below = 0.0
+    if d_lo > 0.0:
+        r_lo = max(cut.h_cut, d_lo) if cut.kind == "zero" else d_lo
+    elif cut.kind in ("divergent", "probe"):
         return MeasureEstimate(
             value=math.inf, error_bound=math.inf, method="montecarlo",
-            seed=q.seed, diagnostics={"reason": reason},
+            seed=q.seed, diagnostics={"reason": cut.reason},
         )
-    if q.annulus is not None:
-        r_lo = max(r_lo, q.annulus[0])
-        r_hi = min(r_hi, q.annulus[1])
-        below = 0.0
+    elif cut.kind == "zero":
+        r_lo = cut.h_cut
+    else:
+        r_lo = max(cut.cut_for(q.rel_tol / (4.0 * sigma)), PRECISION_FLOOR)
+        below = sigma * cut.remainder(r_lo)
+    # beyond r_hi, |u(x) - u(y)| <= 2 sup |u| cannot exceed lam r^beta
+    if beta > 0.0:
+        r_hi = (2.0 * u.sup_norm / lam) ** (1.0 / beta) if u.sup_norm > 0 else 0.0
+    else:
+        r_hi = math.inf  # gamma < 0 here, the far weight integral converges
+    r_hi = min(r_hi, d_hi)
     if not r_hi > r_lo:
         return MeasureEstimate(
             value=below, error_bound=below, method="montecarlo",
             seed=q.seed, diagnostics={"empty_radial_range": True},
         )
 
-    lows = np.array([lo for lo, _ in u.support])
-    highs = np.array([hi for _, hi in u.support])
-    volume = float(np.prod(highs - lows))
-    sigma = sphere_area(dim)
-
-    # geometric strata (ratio 4), plus one unbounded stratum when needed
+    # geometric strata (ratio 4); the last one reaches r_hi, also when infinite
     edges = [r_lo]
     while edges[-1] < r_hi and len(edges) < 64:
         edges.append(min(edges[-1] * 4.0, r_hi))
-    if math.isinf(r_hi):
-        edges = edges[:-1] + [math.inf]
+    edges[-1] = r_hi
     weights = np.array([_stratum_weight(gamma, a, c) for a, c in zip(edges, edges[1:])])
     alloc = np.maximum(64, (q.mc_samples * weights / weights.sum()).astype(int))
 

@@ -10,7 +10,7 @@ far-field tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -29,24 +29,14 @@ class LineProfile:
     sup: float                       # sup |f|
     jumps: tuple[Jump, ...] = ()
     breakpoints: tuple[float, ...] = ()
-    min_gap: float = field(init=False)
 
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError("profile interval is empty")
-        locs = sorted(loc for loc, _ in self.jumps)
-        gap = math.inf
-        for a, b in zip(locs, locs[1:]):
-            gap = min(gap, b - a)
-        object.__setattr__(self, "min_gap", gap)
 
     @property
     def span(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def max_jump(self) -> float:
-        return max((sz for _, sz in self.jumps), default=0.0)
 
     def grid_points(self) -> np.ndarray:
         """Sorted structural abscissae: endpoints, declared breakpoints, jumps."""
@@ -54,3 +44,10 @@ class LineProfile:
         pts.update(self.breakpoints)
         pts.update(loc for loc, _ in self.jumps)
         return np.array(sorted(pts))
+
+
+def jump_structure(jumps) -> tuple[float, int, float]:
+    """(largest size, number, smallest separation) of (location, size) jumps."""
+    locs = sorted(loc for loc, _ in jumps)
+    gap = min((b - a for a, b in zip(locs, locs[1:])), default=math.inf)
+    return max((sz for _, sz in jumps), default=0.0), len(jumps), gap

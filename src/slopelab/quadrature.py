@@ -16,10 +16,14 @@ split into two exhaustive families:
   Unresolved boundary mass goes half into the value and half into the error
   bound, so the reported interval brackets the quadrature truth.
 
-Near the diagonal, the cutoff below which interior membership is provably
-impossible comes from the Lipschitz constant, interior jump sizes, and the
-sup norm; regimes where the near-diagonal mass genuinely diverges are either
-detected outright or confirmed by a truncation-doubling probe.
+Near the diagonal, one rule, ``near_diagonal``, gives the cutoff below which
+membership is provably impossible or the bound on the mass below a cutoff,
+from the Lipschitz constant, the jump sizes and the sup norm.  The Monte
+Carlo backend uses the same rule.  The engine asks it three times: for the
+interior jumps, for the jumps at the support edges, and for declared
+interface points.  Regimes where the near-diagonal mass genuinely diverges
+are either detected outright or confirmed by a truncation-halving probe,
+which decides on the mass each halving of its lower edge adds.
 """
 
 from __future__ import annotations
@@ -30,18 +34,25 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .profiles import LineProfile
+from .profiles import LineProfile, jump_structure
 
 __all__ = [
     "EngineEstimate",
     "BudgetExceededError",
+    "NearCut",
     "measure_line",
+    "near_diagonal",
     "shell_weight",
 ]
 
-GROWTH_THRESHOLD = 0.10   # relative growth per domain doubling => divergent
+# A logarithmic divergence adds the same mass at every halving of the
+# probe's lower edge; a tail that scales like h^a adds 4^-a as much after
+# two halvings, 1/4 for the corner mass at a jump and 0 where the Lipschitz
+# constant is loose.  The last increment against the first decides.
+DIVERGENT_INCREMENT_RATIO = 0.5
 PRECISION_FLOOR = 1e-250  # below this h, double precision cannot see membership
 EDGE_TOL = 1e-9           # relative size above which an edge mismatch is a jump
+MAX_CELLS = 250_000       # most cells one refinement round hands to the next
 
 
 @dataclass
@@ -135,113 +146,119 @@ def _ramp_integral(gamma: float, span: float, a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# near-diagonal analysis (interior pairs)
+# the near-diagonal rule
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _NearCut:
-    kind: str                 # 'zero' | 'bounded' | 'divergent' | 'probe'
-    h_cut: float = math.inf   # membership provably absent below this h ('zero')
+class NearCut:
+    """What the pairs closer than some separation h contribute.
+
+    ``kind`` is 'zero' (no pair closer than ``h_cut`` is a member), 'bounded'
+    (the member mass below h is at most ``remainder(h)``, and
+    ``cut_for(target)`` is a cut whose remainder is about ``target``),
+    'divergent' (the corner mass at a jump is infinite) or 'probe' (the rule
+    cannot decide; only a truncation probe can).  Remainders count the pairs
+    (x, x + h omega) of one direction omega, so a line engine doubles them and
+    an N-dimensional one multiplies them by the sphere area.
+    """
+
+    kind: str
+    h_cut: float = math.inf
     remainder: Optional[Callable[[float], float]] = None
     cut_for: Optional[Callable[[float], float]] = None
     reason: str = ""
 
 
-def _near_cut(L, M, jumps, gamma, beta, lam, span) -> _NearCut:
-    n_j = len(jumps)
-    j_max = max((sz for _, sz in jumps), default=0.0)
-    locs = sorted(loc for loc, _ in jumps)
-    gap = math.inf
-    for a, b in zip(locs, locs[1:]):
-        gap = min(gap, b - a)
+def near_diagonal(
+    gamma: float,
+    beta: float,
+    lam: float,
+    *,
+    lipschitz: float,
+    sup: float,
+    jump: float,
+    jump_set: float,
+    gap: float,
+    extent: float,
+) -> NearCut:
+    """The near-diagonal rule for {|u(x) - u(y)| > lam |x - y|^beta}, beta = 1 + b.
 
+    ``lipschitz`` bounds the slope of the continuous part (inf if unknown),
+    ``sup`` bounds |u|, ``jump`` is the largest jump, ``jump_set`` the size of
+    the jump set (the number of jumps on a line, the boundary measure in the
+    plane), ``gap`` the separation below which a pair crosses at most one
+    jump, and ``extent`` the measure of the region where u varies.
+
+    Corner mass at a jump diverges for gamma <= -1; at b = -1 a jump meets the
+    constant threshold lam, so it diverges exactly when the jump exceeds lam;
+    at gamma = 0 lam decides against the Lipschitz constant.
+    """
+    L = lipschitz
     if beta < 0.0:
-        if M == 0.0:
-            return _NearCut("zero", h_cut=math.inf)
-        return _NearCut("zero", h_cut=(2.0 * M / lam) ** (1.0 / beta))
+        if sup == 0.0:
+            return NearCut("zero")
+        return NearCut("zero", h_cut=(2.0 * sup / lam) ** (1.0 / beta))
 
     if beta == 0.0:
-        if j_max > lam:
-            return _NearCut(
+        if jump > lam:
+            return NearCut(
                 "divergent",
-                reason=f"interior jump of size {j_max:g} meets lambda={lam:g} at quotient "
-                f"exponent b=-1 (gamma={gamma:g} <= -1): diagonal corner mass diverges",
+                reason=f"a jump of size {jump:g} meets lambda={lam:g} at quotient exponent "
+                f"b=-1 (gamma={gamma:g} <= -1): the diagonal corner mass diverges",
             )
         if L == 0.0:
-            return _NearCut("zero", h_cut=gap)
+            return NearCut("zero", h_cut=gap)
         if math.isinf(L):
-            return _NearCut("probe", reason="unknown Lipschitz constant at b=-1")
-        return _NearCut("zero", h_cut=min((lam - j_max) / L, gap))
+            return NearCut("probe", reason="unknown Lipschitz constant at b=-1")
+        return NearCut("zero", h_cut=min((lam - jump) / L, gap))
 
-    if beta < 1.0:
-        if math.isinf(L):
+    if beta <= 1.0:
+        # below h_s the continuous part alone cannot reach the threshold
+        if beta == 1.0:
+            if math.isinf(L):
+                return NearCut("probe", reason="unknown Lipschitz constant at gamma=0")
+            if lam < L:
+                return NearCut(
+                    "probe",
+                    reason=f"lambda={lam:g} below the Lipschitz constant {L:g} at gamma=0: "
+                    "the dichotomy predicts divergence",
+                )
+            h_s = math.inf
+        elif math.isinf(L):
             h_s = PRECISION_FLOOR
         elif L == 0.0:
             h_s = math.inf
         else:
             h_s = (lam / L) ** (1.0 / (1.0 - beta))
-        if n_j == 0:
-            return _NearCut("zero", h_cut=h_s)
+        if not jump_set:
+            return NearCut("zero", h_cut=h_s)
         if gamma <= -1.0:
-            return _NearCut(
+            return NearCut(
                 "divergent",
-                reason=f"interior jumps with gamma={gamma:g} <= -1 and quotient exponent "
-                "above -1: diagonal corner mass diverges",
+                reason=f"jumps with gamma={gamma:g} <= -1 and quotient exponent above -1: "
+                "the diagonal corner mass diverges",
             )
 
-        def rem(h, _n=n_j, _g=gamma):
+        def rem(h, _n=jump_set, _g=gamma):
             return _n * h ** (_g + 1.0) / (_g + 1.0)
 
-        def cut_for(target, _n=n_j, _g=gamma, _hs=h_s, _gap=gap):
+        def cut_for(target, _n=jump_set, _g=gamma, _hs=h_s, _gap=gap):
             h = (target * (_g + 1.0) / _n) ** (1.0 / (_g + 1.0))
             return min(h, _hs, _gap)
 
-        return _NearCut("bounded", remainder=rem, cut_for=cut_for)
+        return NearCut("bounded", remainder=rem, cut_for=cut_for)
 
-    if beta == 1.0:
-        if math.isinf(L):
-            return _NearCut("probe", reason="unknown Lipschitz constant at gamma=0")
-        if lam < L:
-            return _NearCut(
-                "probe",
-                reason=f"lambda={lam:g} below the Lipschitz constant {L:g} at gamma=0: "
-                "the dichotomy predicts divergence",
-            )
-        if n_j == 0:
-            return _NearCut("zero", h_cut=math.inf)
+    # beta > 1 (gamma > 0): every close pair may be a member, but the strip
+    # weight is finite
+    e = extent + 1.0
 
-        def rem1(h, _n=n_j):
-            return _n * h
-
-        def cut_for1(target, _n=n_j, _gap=gap):
-            return min(target / _n, _gap)
-
-        return _NearCut("bounded", remainder=rem1, cut_for=cut_for1)
-
-    # beta > 1 (gamma > 0): finite strip weight, bounded by the x-extent
-    extent = span + 1.0
-
-    def rem2(h, _e=extent, _g=gamma):
+    def rem2(h, _e=e, _g=gamma):
         return (_e + 2.0 * h) * h**_g / _g
 
-    def cut_for2(target, _e=extent, _g=gamma):
+    def cut_for2(target, _e=e, _g=gamma):
         return (target * _g / (_e + 1.0)) ** (1.0 / _g)
 
-    return _NearCut("bounded", remainder=rem2, cut_for=cut_for2)
-
-
-def _interface_cut(interfaces: int, gamma: float) -> _NearCut:
-    """Near cut when every small-h member pair straddles a declared interface."""
-    if gamma <= -1.0:
-        return _NearCut("divergent", reason="interface corners diverge for gamma <= -1")
-
-    def rem(h, _n=interfaces, _g=gamma):
-        return _n * h ** (_g + 1.0) / (_g + 1.0)
-
-    def cut_for(target, _n=interfaces, _g=gamma):
-        return (target * (_g + 1.0) / _n) ** (1.0 / (_g + 1.0))
-
-    return _NearCut("bounded", remainder=rem, cut_for=cut_for)
+    return NearCut("bounded", remainder=rem2, cut_for=cut_for2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,39 +300,30 @@ def _h_windows(gamma, beta, lam, v, t0, h_hi):
     return w
 
 
-def _edge_jump_sizes(profile: LineProfile) -> tuple[float, float]:
-    """Mismatch between the profile and its plateaus at each support edge."""
+def _edge_jump_sizes(profile: LineProfile) -> tuple[float, ...]:
+    """Mismatches between the profile and its plateaus at the support edges."""
     scale = max(profile.span, 1.0)
     eps = scale * 1e-12
     tol = EDGE_TOL * max(profile.sup, 1.0)
     if profile.span == 0.0:
-        return 0.0, 0.0
+        return ()
     v_l = abs(float(profile.f(np.array([profile.lo + eps]))[0]) - profile.left)
     v_r = abs(float(profile.f(np.array([profile.hi - eps]))[0]) - profile.right)
-    return (v_l if v_l > tol else 0.0), (v_r if v_r > tol else 0.0)
+    return tuple(v for v in (v_l, v_r) if v > tol)
 
 
 def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
     """Mass of all pairs with at least one endpoint on a plateau.
 
     Returns (value, error_estimate, parts); raises _Divergent when the family
-    genuinely diverges (edge jumps at gamma <= -1 with membership persisting
-    toward the edge, constant-threshold membership with an infinite weight,
-    or a divergent two-plateau ramp).
+    genuinely diverges (constant-threshold membership with an infinite
+    weight, or a divergent two-plateau ramp).  Divergent corners at the
+    support-edge jumps are the near-diagonal rule's verdict, not this one's.
     """
     lo, hi = profile.lo, profile.hi
     parts = {}
     value = 0.0
     err = 0.0
-
-    jump_l, jump_r = _edge_jump_sizes(profile)
-    for side, jump in (("left", jump_l), ("right", jump_r)):
-        if jump > 0.0 and gamma <= -1.0 and h_lo == 0.0:
-            if beta > 0.0 or (beta == 0.0 and jump > lam):
-                raise _Divergent(
-                    f"{side} support edge carries a jump of size {jump:g}: the "
-                    f"edge-corner mass diverges for gamma={gamma:g} <= -1"
-                )
 
     if profile.span > 0.0:
         xs = _graded_grid(profile)
@@ -363,7 +371,7 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 # the interior cell engine
 # ---------------------------------------------------------------------------
 
-def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
+def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
     """Round-based quadtree refinement of indicator cells.
 
     A cell [x1, x2] x [h1, h2] is judged on the 3x3 stencil of its corners
@@ -385,11 +393,13 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
 
     ``evaluations`` counts stencil pairs, nine per live cell, not profile
     points: refinement decisions and the budget are the same as for a full
-    3x3 sampling of every cell.
+    3x3 sampling of every cell.  A round is sampled only if its pairs fit in
+    ``budget_left``, nine per fresh cell and 36 per split; otherwise the mass
+    it would have sampled counts as unresolved and the refinement stops.
 
-    Returns (inside_mass, unresolved_mass, evaluations, rounds); rounds is
-    negative when the evaluation budget ran out, whether or not the target
-    was met in that round.  Raises ValueError on a non-finite cell weight.
+    Returns (inside_mass, unresolved_mass, evaluations, rounds, exhausted);
+    exhausted is True when the budget stopped the refinement, also before
+    its first round.  Raises ValueError on a non-finite cell weight.
     """
     x1, x2, h1, h2 = cells
     ok = None                 # (3, 3, k) stencil samples, known after a split
@@ -410,6 +420,8 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
         if not len(x1):
             break
         if ok is None:
+            if evals + 9 * len(x1) > budget_left:
+                return inside, unresolved + float(w.sum()), evals, rounds, True
             xs = np.stack([x1, 0.5 * (x1 + x2), x2])
             hs = np.stack([h1, np.sqrt(h1 * h2), h2])
             ok = member(xs[:, None], hs[None, :])
@@ -430,26 +442,25 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
         sel = np.flatnonzero(mixed)
         mw = w[sel]
         total_mixed = float(mw.sum())
-        if evals >= budget_left:
-            unresolved += total_mixed
-            return inside, unresolved, evals, -rounds
         if rounds > min_rounds and total_mixed <= target:
             unresolved += total_mixed
             break
 
-        keep = mw > target / (2.0 * max_cells)
+        keep = mw > target / (2.0 * MAX_CELLS)
         if rounds > min_rounds:
             unresolved += float(mw[~keep].sum())
         else:
             unresolved += float(mw[~keep & (counts[sel] > 0)].sum())
         sel, mw = sel[keep], mw[keep]
-        cutoff = max_cells // 4
+        cutoff = MAX_CELLS // 4
         if len(sel) > cutoff:
             order = np.argsort(mw, kind="stable")[::-1]
             unresolved += float(mw[order[cutoff:]].sum())
             sel = sel[order[:cutoff]]
         if not len(sel):
             break
+        if evals + 36 * len(sel) > budget_left:
+            return inside, unresolved + float(w[sel].sum()), evals, rounds, True
         mx1, mx2, mh1, mh2 = x1[sel], x2[sel], h1[sel], h2[sel]
         xm = 0.5 * (mx1 + mx2)
         hm = np.sqrt(mh1 * mh2)
@@ -466,7 +477,7 @@ def _refine(member, cells, gamma, target, max_cells, budget_left, min_rounds=2):
         # stencil offsets (x, h) of the children, in the order just built
         quarters = ((0, 0), (1, 0), (0, 1), (1, 1))
         ok = np.concatenate([g[2 * a:2 * a + 3, 2 * b:2 * b + 3] for a, b in quarters], axis=2)
-    return inside, unresolved, evals, rounds
+    return inside, unresolved, evals, rounds, False
 
 
 def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, max_x_cells=96):
@@ -508,10 +519,7 @@ def measure_line(
     region: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     interface_points: Optional[int] = None,
     rel_tol: float = 5e-3,
-    abs_tol: float = 0.0,
-    max_cells: int = 250_000,
     budget: int = 40_000_000,
-    probe: bool = True,
 ) -> EngineEstimate:
     """Weighted measure of {|f(x)-f(y)| > lam |x-y|^(1+b)} on the line.
 
@@ -526,8 +534,8 @@ def measure_line(
 
     ``budget`` caps the stencil-pair evaluations of the whole query: the
     preview, both interior passes and every probe pass draw on one counter,
-    and a query that exhausts it raises ``BudgetExceededError`` carrying the
-    partial estimate.
+    no pass samples a round that would overrun it, and a query that runs out
+    raises ``BudgetExceededError`` carrying the partial estimate.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
@@ -566,21 +574,26 @@ def measure_line(
             ok &= region(x, y)
         return ok
 
-    interior_jumps = tuple(j for j in profile.jumps if lo < j[0] < hi)
-    if interface_points is not None:
-        cut = _interface_cut(interface_points, gamma)
-    else:
-        cut = _near_cut(
-            profile.lipschitz,
-            profile.sup,
-            profile.jumps if boxed else interior_jumps,
-            gamma,
-            beta,
-            lam,
-            profile.span,
+    # --- the near-diagonal rule: the cells' pairs, and the edge jumps -------
+    def rule(lipschitz, jump, jump_set, gap=math.inf):
+        return near_diagonal(
+            gamma, beta, lam, lipschitz=lipschitz, sup=profile.sup, jump=jump,
+            jump_set=jump_set, gap=gap, extent=profile.span,
         )
-    if cut.kind == "divergent" and h_lo == 0.0:
-        return EngineEstimate(math.inf, math.inf, diagnostics={"reason": cut.reason})
+
+    if interface_points is not None:
+        # no Lipschitz part: interfaces across which u moves by at most 2 sup
+        cut = rule(0.0, 2.0 * profile.sup, interface_points)
+    else:
+        cell_jumps = profile.jumps if boxed else [j for j in profile.jumps if lo < j[0] < hi]
+        cut = rule(profile.lipschitz, *jump_structure(cell_jumps))
+    cuts = [cut]
+    if not boxed:
+        edge_jumps = _edge_jump_sizes(profile)
+        cuts.append(rule(profile.lipschitz, max(edge_jumps, default=0.0), len(edge_jumps)))
+    for c in cuts:
+        if c.kind == "divergent" and h_lo == 0.0:
+            return EngineEstimate(math.inf, math.inf, diagnostics={"reason": c.reason})
 
     if boxed:
         h_hi = min(h_hi, box_hi - box_lo)
@@ -591,14 +604,15 @@ def measure_line(
         x_lo, x_hi = lo, hi
 
     evals = 0  # stencil-pair evaluations of the whole query
+    exhausted = False
 
     def run_cells(cell_lo, cell_top, target):
-        nonlocal evals
+        nonlocal evals, exhausted
         if cell_lo >= cell_top or x_lo >= x_hi:
             return 0.0, 0.0, 0
         cells = _initial_cells(profile, x_lo, x_hi, cell_lo, cell_top)
-        inside, unresolved, spent, rounds = _refine(
-            member, cells, gamma, target, max_cells, budget - evals
+        inside, unresolved, spent, rounds, exhausted = _refine(
+            member, cells, gamma, target, budget - evals
         )
         evals += spent
         return inside, unresolved, rounds
@@ -617,29 +631,25 @@ def measure_line(
 
     # --- probe path: confirm or refute near-diagonal divergence ------------
     if cut.kind == "probe" and h_lo == 0.0:
-        if not probe:
-            return EngineEstimate(
-                math.inf, math.inf, diagnostics={"reason": cut.reason, "probe": "skipped"}
-            )
-        probe_target = max(abs_tol, 5e-3 * max(tail_v, 1.0))
+        probe_target = 5e-3 * max(tail_v, 1.0)
         d0 = max(profile.span, 1.0) / 64.0
-        base_in, base_un, rounds = run_cells(d0, cells_hi, probe_target)
+        base_in, base_un, _ = run_cells(d0, cells_hi, probe_target)
         total = base_in + 0.5 * base_un + tail_v
         vals = [total]
         lo_edge = d0
         for _ in range(3):
-            if rounds < 0:
+            if exhausted:
                 break
             nxt = lo_edge / 2.0
-            inc_in, inc_un, rounds = run_cells(nxt, lo_edge, probe_target)
+            inc_in, inc_un, _ = run_cells(nxt, lo_edge, probe_target)
             total += inc_in + 0.5 * inc_un
             vals.append(total)
             lo_edge = nxt
-        growth = [(v2 - v1) / max(v1, 1e-300) for v1, v2 in zip(vals, vals[1:])]
+        increments = [v2 - v1 for v1, v2 in zip(vals, vals[1:])]
         diag["probe_values"] = vals
-        diag["probe_growth"] = growth
+        diag["probe_increments"] = increments
         diag["reason"] = cut.reason
-        if rounds < 0:
+        if exhausted:
             # the mass below the last truncation is unknown, maybe infinite
             diag["probe"] = "budget exhausted"
             raise BudgetExceededError(
@@ -649,11 +659,12 @@ def measure_line(
                     diagnostics=diag,
                 ),
             )
-        if all(g > GROWTH_THRESHOLD for g in growth):
+        last = increments[-1]
+        if last > 0.0 and last >= DIVERGENT_INCREMENT_RATIO * increments[0]:
             diag["probe"] = "confirmed divergent"
             return EngineEstimate(math.inf, math.inf, evaluations=evals, diagnostics=diag)
         diag["probe"] = "stabilized"
-        err = max(vals[-1] - vals[-2], 0.0) * 4.0 + 0.5 * base_un + tail_e
+        err = max(last, 0.0) * 4.0 + 0.5 * base_un + tail_e
         return EngineEstimate(
             2.0 * vals[-1], 2.0 * err, evaluations=evals, tail=2.0 * tail_v, diagnostics=diag
         )
@@ -666,12 +677,12 @@ def measure_line(
     elif cut.kind == "zero":
         cell_lo = cut.h_cut
     else:
-        guess = max(abs_tol, rel_tol * max(tail_v, 1.0), 1e-12)
+        guess = max(rel_tol * max(tail_v, 1.0), 1e-12)
         pv_lo = max(cut.cut_for(guess), PRECISION_FLOOR)
         pv_in, pv_un, rounds = run_cells(pv_lo, cells_hi, 8.0 * guess)
         scale = pv_in + 0.5 * pv_un + tail_v
         diag["preview_value"] = scale
-        target_rem = max(abs_tol, rel_tol * scale) / 4.0
+        target_rem = rel_tol * scale / 4.0
         cell_lo = cut.cut_for(max(target_rem, 1e-300))
         rem = cut.remainder(cell_lo)
     if cell_lo < PRECISION_FLOOR:
@@ -682,20 +693,20 @@ def measure_line(
         rem = 0.0
 
     # --- interior cells -----------------------------------------------------
-    if rounds < 0:
+    if exhausted:
         # the preview spent the budget: its cells give the partial estimate
         inside, unresolved, cell_lo, rem = pv_in, pv_un, pv_lo, cut.remainder(pv_lo)
     else:
-        target1 = max(abs_tol, rel_tol * max(tail_v, 1.0)) / 2.0
+        target1 = rel_tol * max(tail_v, 1.0) / 2.0
         inside, unresolved, rounds = run_cells(cell_lo, cells_hi, target1)
         scale = inside + 0.5 * unresolved + 0.5 * rem + tail_v
-        target2 = max(abs_tol, rel_tol * scale) / 2.0
-        if rounds >= 0 and unresolved > target2 and scale > 0:
+        target2 = rel_tol * scale / 2.0
+        if not exhausted and unresolved > target2 and scale > 0:
             inside, unresolved, rounds = run_cells(cell_lo, cells_hi, target2)
 
     diag["h_cut"] = cell_lo
     diag["near_remainder"] = rem
-    diag["rounds"] = abs(rounds)
+    diag["rounds"] = rounds
 
     value = 2.0 * (inside + 0.5 * unresolved + 0.5 * rem + tail_v)
     error = 2.0 * (0.5 * unresolved + 0.5 * rem + tail_e)
@@ -706,7 +717,7 @@ def measure_line(
         tail=2.0 * (tail_v + 0.5 * rem),
         diagnostics=diag,
     )
-    if rounds < 0:
+    if exhausted:
         raise BudgetExceededError(
             f"evaluation budget {budget} exhausted before reaching tolerance", est
         )

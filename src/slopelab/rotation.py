@@ -70,7 +70,6 @@ def measure_rotation2d(q: LevelSetQuery) -> MeasureEstimate:
                 q.lam,
                 h_window=q.annulus,
                 rel_tol=q.rel_tol * 2.0,
-                abs_tol=q.abs_tol,
                 budget=q.budget - evals,
             )
         except BudgetExceededError as exc:

@@ -16,7 +16,6 @@ could never resolve those generations (the direct engine sees at most ~25).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "cross_term",
     "box_measure_ladder",
     "corner_rectangle_weight",
-    "LadderEstimate",
 ]
 
 DIRECT_GENERATIONS = 8   # up to here the plain cell engine resolves everything
@@ -87,14 +85,6 @@ def cross_term(
     )
 
 
-@dataclass
-class LadderEstimate:
-    value: float
-    error: float
-    evaluations: int
-    diagnostics: dict
-
-
 def box_measure_ladder(
     gamma: float,
     lam: float,
@@ -102,7 +92,7 @@ def box_measure_ladder(
     m0: int = 4,
     rel_tol: float = 5e-3,
     budget: int = 40_000_000,
-) -> LadderEstimate:
+) -> EngineEstimate:
     """A(m, lam) for p = 1 via the exact recursion A(j) = A(j-1) + X(j).
 
     Only p = 1 is supported: there the similarity factor is exactly 1, so all
@@ -111,7 +101,7 @@ def box_measure_ladder(
     """
     if m <= m0:
         est = box_measure(gamma, 1.0, lam, m, rel_tol=rel_tol, budget=budget)
-        return LadderEstimate(est.value, est.error, est.evaluations, {"direct": True})
+        return EngineEstimate(est.value, est.error, est.evaluations, diagnostics={"direct": True})
 
     base = box_measure(gamma, 1.0, lam, m0, rel_tol=rel_tol, budget=budget)
     value = base.value
@@ -140,7 +130,7 @@ def box_measure_ladder(
         error += (m - j_top) * (defect + xs[-1].error)
         diagnostics["extended_generations"] = m - j_top
         diagnostics["stabilization_defect"] = defect
-    return LadderEstimate(value, error, evals, diagnostics)
+    return EngineEstimate(value, error, evals, diagnostics=diagnostics)
 
 
 def corner_rectangle_weight(gamma: float, rho: float) -> float:

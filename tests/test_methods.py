@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slopelab.catalog import get, make_standard, mollified_indicator
+from slopelab.catalog import get, make_standard, mollified_indicator, scale_values
 from slopelab.measure import LevelSetQuery, nu_measure
 from slopelab.params import Params
 from slopelab.quadrature import measure_line
@@ -93,6 +93,30 @@ class TestCrossMethod1D:
         assert math.isfinite(grid.value)
         slack = grid.error_bound + mc.error_bound + 1e-9
         assert abs(grid.value - mc.value) <= slack
+
+
+class TestVerdicts:
+    # both engines take their divergence verdict from one near-diagonal rule
+    FUNCTIONS = {
+        "tent": lambda: make_standard("tent"),
+        "interval_indicator(1)": lambda: make_standard("interval_indicator(1)"),
+        "interval_indicator(1)*3": lambda: scale_values(
+            make_standard("interval_indicator(1)"), 3.0
+        ),
+        "smooth_bump": lambda: make_standard("smooth_bump"),
+        "mollified_indicator(3)": lambda: get("mollified_indicator(3)"),
+    }
+    CASES = [(-2, 1, 0.25), (-1, 1, 0.5), (-1, 1, 2), (-1, 1, 4),
+             (-0.5, 1, 0.2), (0, 1, 0.3), (0, 1, 5), (1, 1, 8)]
+
+    @pytest.mark.parametrize("gamma,p,lam", CASES)
+    @pytest.mark.parametrize("fid", sorted(FUNCTIONS))
+    def test_grid_and_montecarlo_agree_on_divergence(self, fid, gamma, p, lam):
+        u = self.FUNCTIONS[fid]()
+        q = dict(u=u, params=P(float(gamma), float(p)), lam=float(lam))
+        grid = nu_measure(LevelSetQuery(**q))
+        mc = nu_measure(LevelSetQuery(**q, method="montecarlo", seed=1, mc_samples=50_000))
+        assert grid.infinite == mc.infinite
 
 
 class TestMonteCarlo:

@@ -3,9 +3,16 @@ divergence-certifying series built from them.
 
 The generation-m staircase g_m rises 0 -> 1 with derivative supported on the
 m-th step of a symmetric Cantor construction with contraction ratio
-rho = 2^(-1/(1+gamma)), gamma in (-1, 0).  Evaluation unrolls the two-branch
-recursion top-down, so the cost is O(m) per point and the self-similarity
-identities hold to the last bit.
+rho = 2^(-1/(1+gamma)), gamma in (-1, 0).  Evaluation follows each point
+down the two-branch recursion, at most m generations, in fixed-size blocks
+that keep the temporaries in cache.  At every generation the points that
+land on a plateau take their value and are dropped, so later generations
+touch only the points still descending.  The result is exact to the last
+bit of the plain per-point recursion: every point sees the same
+floating-point operations in the same order, and the per-generation
+coefficients 2^-k and (0.5/rho)^k, which are the same for every surviving
+point, are scalars built by the same repeated products.  The
+self-similarity identities therefore hold to the last bit.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_M_CAP = 2**14  # max staircase generations accepted for a series block
+_BLOCK = 2**15  # points per kernel block; keeps the per-generation temporaries in cache
 
 
 class BlockCapError(ValueError):
@@ -80,78 +88,77 @@ class CantorSpec:
 
 
 def _resolve(spec: CantorSpec, x, want_deriv: bool):
-    rho = spec.rho
-    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    pos = x.astype(float).copy()
-    val = np.zeros_like(pos)
-    offset = np.zeros_like(pos)
-    coeff = np.ones_like(pos)
-    dcoeff = np.ones_like(pos)
-    active = np.ones(pos.shape, dtype=bool)
+    """Values of g_m at ``x`` (flattened) and, if ``want_deriv``, its derivative.
 
+    Points are taken in blocks of ``_BLOCK``; see :func:`_resolve_block`.
+    Returns ``(val, dval)`` with ``dval`` None unless asked for.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    val = np.empty_like(x)
+    dval = np.zeros_like(x) if want_deriv else None
+    for start in range(0, x.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _resolve_block(spec, x[block], val[block], None if dval is None else dval[block])
+    return val, dval
+
+
+def _resolve_block(spec: CantorSpec, x, val, dval):
+    """Unroll the recursion for one block, writing into ``val`` and ``dval``.
+
+    Only the points still descending are carried: their index ``idx``, their
+    position ``pos`` in the current generation's frame, and the value
+    ``offset`` that frame starts at.  A point that lands on a plateau (left
+    of 0, right of 1, or in the central gap) takes its value and is dropped.
+    Every survivor is halved once per generation, so the frame's height
+    ``coeff`` = 2^-k and the derivative's chain-rule factor ``dcoeff`` =
+    (0.5/rho)^k are scalars.
+    """
+    rho = spec.rho
+    far = 1.0 - rho
+    nan = np.isnan(x)
+    val[nan] = np.nan
+    if dval is not None:
+        dval[nan] = np.nan
+    idx = np.flatnonzero(~nan)
+    pos = x[idx]
+    offset = np.zeros_like(pos)
+    coeff = 1.0
+    dcoeff = 1.0
     half_inv_rho = 0.5 / rho
     for _ in range(spec.m):
-        if not active.any():
-            break
-        a = active
-        p = pos[a]
-
-        done_lo = p <= 0.0
-        done_hi = p >= 1.0
-        left = (~done_lo) & (~done_hi) & (p <= rho)
-        right = (~done_lo) & (~done_hi) & (p >= 1.0 - rho)
-        mid = (~done_lo) & (~done_hi) & ~left & ~right
-
-        idx = np.flatnonzero(a)
-        if done_lo.any():
-            ii = idx[done_lo]
-            val[ii] = offset[ii]
-            active[ii] = False
-        if done_hi.any():
-            ii = idx[done_hi]
-            val[ii] = offset[ii] + coeff[ii]
-            active[ii] = False
-        if mid.any():
-            ii = idx[mid]
-            val[ii] = offset[ii] + 0.5 * coeff[ii]
-            active[ii] = False
-        if left.any():
-            ii = idx[left]
-            pos[ii] = pos[ii] / rho
-            coeff[ii] *= 0.5
-            dcoeff[ii] *= half_inv_rho
-        if right.any():
-            ii = idx[right]
-            pos[ii] = 1.0 - (1.0 - pos[ii]) / rho
-            offset[ii] += 0.5 * coeff[ii]
-            coeff[ii] *= 0.5
-            dcoeff[ii] *= half_inv_rho
-
-    if active.any():
-        ii = np.flatnonzero(active)
-        base = spec.g0(pos[ii])
-        val[ii] = offset[ii] + coeff[ii] * base
-        if want_deriv:
-            dval = np.zeros_like(val)
-            dval[ii] = dcoeff[ii] * spec.g0_deriv(pos[ii])
-            return val, dval, ii
-        return val, None, ii
-    if want_deriv:
-        return val, np.zeros_like(val), np.array([], dtype=int)
-    return val, None, np.array([], dtype=int)
+        if not idx.size:
+            return
+        stop = (pos <= 0.0) | (pos >= 1.0) | ((pos > rho) & (pos < far))
+        done = np.flatnonzero(stop)
+        if done.size:
+            p = pos[done]
+            step = np.where(p >= 1.0, coeff, 0.5 * coeff)
+            step[p <= 0.0] = 0.0
+            val[idx[done]] = offset[done] + step
+            go = ~stop
+            idx, pos, offset = idx[go], pos[go], offset[go]
+        right = pos >= far
+        pos = np.where(right, 1.0 - (1.0 - pos) / rho, pos / rho)
+        offset += right * (0.5 * coeff)
+        coeff *= 0.5
+        dcoeff *= half_inv_rho
+    if idx.size:
+        val[idx] = offset + coeff * spec.g0(pos)
+        if dval is not None:
+            dval[idx] = dcoeff * spec.g0_deriv(pos)
 
 
 def staircase(spec: CantorSpec, x):
     """Evaluate g_m; total on R (0 left of 0, 1 right of 1, nondecreasing)."""
     shape = np.shape(x)
-    val, _, _ = _resolve(spec, x, want_deriv=False)
+    val, _ = _resolve(spec, x, want_deriv=False)
     return val.reshape(shape) if shape else float(val[0])
 
 
 def staircase_deriv(spec: CantorSpec, x):
     """Exact derivative of g_m (chain rule through the unrolled recursion)."""
     shape = np.shape(x)
-    _, dval, _ = _resolve(spec, x, want_deriv=True)
+    _, dval = _resolve(spec, x, want_deriv=True)
     return dval.reshape(shape) if shape else float(dval[0])
 
 
@@ -240,9 +247,9 @@ def block_function(spec: CantorSpec, dim: int = 1, shifted: bool = False) -> Tes
 
     def gr(x):
         x = np.asarray(x, dtype=float) - c
-        return 16.0 * (
-            staircase_deriv(spec, x) * _cutoff_1d(x) + staircase(spec, x) * _cutoff_1d_deriv(x)
-        )
+        val, dval = _resolve(spec, x, want_deriv=True)
+        val, dval = val.reshape(np.shape(x)), dval.reshape(np.shape(x))
+        return 16.0 * (dval * _cutoff_1d(x) + val * _cutoff_1d_deriv(x))
 
     lip = 16.0 * (spec.lip_bound() + _CUTOFF_LIP)
     inner = _generation_points(spec, max_depth=5)

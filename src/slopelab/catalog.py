@@ -45,33 +45,33 @@ STANDARD_IDS = (
 # C-infinity step primitive
 # ---------------------------------------------------------------------------
 
-def _sigma(s: np.ndarray) -> np.ndarray:
-    # exp(-1/s) extended by 0 for s <= 0
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 def smoothstep(s):
-    """Monotone C-infinity transition: exactly 0 for s <= 0, 1 for s >= 1."""
+    """Monotone C-infinity transition: exactly 0 for s <= 0, 1 for s >= 1.
+
+    On (0, 1) it is a / (a + b) with a = exp(-1/s), b = exp(-1/(1-s)).
+    NaN entries come back NaN.
+    """
     s = np.asarray(s, dtype=float)
-    a = _sigma(s)
-    b = _sigma(1.0 - s)
-    out = np.empty_like(s)
-    mid = (s > 0) & (s < 1)
-    out[s <= 0] = 0.0
-    out[s >= 1] = 1.0
-    out[mid] = a[mid] / (a[mid] + b[mid])
+    out = np.full_like(s, np.nan)
+    out[s <= 0.0] = 0.0
+    out[s >= 1.0] = 1.0
+    mid = (s > 0.0) & (s < 1.0)
+    sm = s[mid]
+    with np.errstate(over="ignore"):  # -1/s overflows to -inf for subnormal s
+        a = np.exp(-1.0 / sm)
+        b = np.exp(-1.0 / (1.0 - sm))
+    out[mid] = a / (a + b)
     return out
 
 
 def smoothstep_deriv(s):
-    """Exact derivative of :func:`smoothstep`; a symmetric bump on (0, 1)."""
+    """Exact derivative of :func:`smoothstep`; a symmetric bump on (0, 1).
+
+    NaN entries come back NaN.
+    """
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
+    out[np.isnan(s)] = np.nan
     mid = (s > 0) & (s < 1)
     sm = s[mid]
     a = np.exp(-1.0 / sm)

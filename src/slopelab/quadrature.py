@@ -106,6 +106,10 @@ def _weight_vec(gamma: float, a, b):
             out[good] = np.log(b[good] / a[good])
         return out
     if gamma < 0.0:
+        # from h = 0 the integral diverges; 0 ** gamma would divide by zero
+        from_zero = good & (a == 0.0)
+        out[from_zero] = np.inf
+        good &= ~from_zero
         fin = good & np.isfinite(b)
         out[fin] = (b[fin] ** gamma - a[fin] ** gamma) / gamma
         tail = good & ~np.isfinite(b)

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from slopelab.catalog import dilate, get, make_standard, mollified_indicator
+from slopelab.catalog import (
+    dilate,
+    get,
+    make_standard,
+    mollified_indicator,
+    smoothstep,
+    smoothstep_deriv,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -22,6 +29,47 @@ def interior_points(tf, n=100, margin=1e-3):
     for k in tf.kinks:
         pts = pts[np.abs(pts - k) > margin]
     return pts[:n]
+
+
+class TestSmoothstep:
+    S = np.array([0.02, 0.1, 0.25, 0.5, 0.7, 0.98])
+
+    def test_values_pinned(self):
+        expected = [
+            "0x1.437271fc1cce9p-71",
+            "0x1.212f2a770ac2ep-13",
+            "0x1.0a1d1c8a7e963p-4",
+            "0x1.0000000000000p-1",
+            "0x1.bda8f07ecd421p-1",
+            "0x1.0000000000000p+0",
+        ]
+        assert [float(v).hex() for v in smoothstep(self.S)] == expected
+        assert smoothstep(np.array([-np.inf, -1.0, -0.0, 0.0])).tolist() == [0.0] * 4
+        assert smoothstep(np.array([1.0, 2.0, np.inf])).tolist() == [1.0] * 3
+
+    def test_derivative_pinned(self):
+        expected = [
+            "0x1.8aff4d38353ffp-60",
+            "0x1.c95d9e918fafcp-7",
+            "0x1.1478c14ed234bp+0",
+            "0x1.0000000000000p+1",
+            "0x1.7bb98fb5ee096p+0",
+            "0x1.8aff4d383551cp-60",
+        ]
+        assert [float(v).hex() for v in smoothstep_deriv(self.S)] == expected
+        edges = np.array([-np.inf, 0.0, 1.0, np.inf])
+        assert smoothstep_deriv(edges).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("f", [smoothstep, smoothstep_deriv])
+    def test_nan_in_nan_out(self, f):
+        s = np.linspace(-0.5, 1.5, 41)
+        with_nan = s.copy()
+        with_nan[1::2] = np.nan
+        out = f(with_nan)
+        assert np.all(np.isnan(out[1::2]))
+        assert np.array_equal(out[::2], f(s)[::2])
+        assert np.isnan(f(np.nan))
+        assert f(0.5) == f(np.array([0.5]))[0]
 
 
 class TestTent:

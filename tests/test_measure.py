@@ -12,12 +12,24 @@ from slopelab.catalog import dilate, get, make_standard, negate, reflect
 from slopelab.constants import halfline_closed_form
 from slopelab.measure import BudgetExceededError, LevelSetQuery, nu_measure, quotient
 from slopelab.params import Params
-from slopelab.quadrature import measure_line
+from slopelab.quadrature import _weight_vec, measure_line
 from slopelab.selfsimilar import box_measure, cross_term
 
 
 def P(gamma, p=1.0, dim=1):
     return Params(dim=dim, p=p, gamma=gamma)
+
+
+class TestWeightVec:
+    def test_from_zero_diverges_for_negative_gamma(self):
+        # a RuntimeWarning from 0 ** gamma would fail the suite
+        a = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+        b = np.array([1.0, np.inf, 0.0, 4.0, np.inf])
+        w = _weight_vec(-0.5, a, b)
+        assert w.tolist() == [np.inf, np.inf, 0.0, 1.0, 2.0]
+
+    def test_from_zero_for_nonnegative_gamma(self):
+        assert _weight_vec(0.5, np.array([0.0]), np.array([4.0])).tolist() == [4.0]
 
 
 class TestQuotient:

@@ -74,9 +74,11 @@ def smoothstep_deriv(s):
     out[np.isnan(s)] = np.nan
     mid = (s > 0) & (s < 1)
     sm = s[mid]
-    a = np.exp(-1.0 / sm)
+    with np.errstate(over="ignore"):  # -1/s overflows to -inf for subnormal s
+        a = np.exp(-1.0 / sm)
     b = np.exp(-1.0 / (1.0 - sm))
-    da = a / sm**2
+    # a is 0 below s ~ 1/745, and sm**2 underflows to 0 below s ~ 1.5e-162
+    da = np.divide(a, sm**2, out=np.zeros_like(a), where=a > 0)
     db = b / (1.0 - sm) ** 2
     out[mid] = (da * b + a * db) / (a + b) ** 2
     return out

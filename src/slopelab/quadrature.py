@@ -53,6 +53,7 @@ DIVERGENT_INCREMENT_RATIO = 0.5
 PRECISION_FLOOR = 1e-250  # below this h, double precision cannot see membership
 EDGE_TOL = 1e-9           # relative size above which an edge mismatch is a jump
 MAX_CELLS = 250_000       # most cells one refinement round hands to the next
+_BLOCK = 4096             # cells sampled per block of a refinement round
 
 
 @dataclass
@@ -395,6 +396,17 @@ def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
     per pair.  The cell axis is last so that numpy's inner loops run along
     it.
 
+    Sampling runs in blocks of ``_BLOCK`` cells, so that the grids, the
+    profile's temporaries and ``member``'s results stay in cache.  The m
+    cells split in a round are written straight into the next round's
+    arrays: child q of the cell at position i of the split list lands at
+    q m + i, the position that concatenating the four quarters in turn
+    gives it.  Every value is computed elementwise by the same operations
+    on the same doubles, and every later sum, sort and cap sees the cells
+    in the same order, so the result does not depend on the block size.
+    Cells whose weight underflows to 0 are dropped before a round; the
+    arrays are compacted only then.
+
     ``evaluations`` counts stencil pairs, nine per live cell, not profile
     points: refinement decisions and the budget are the same as for a full
     3x3 sampling of every cell.  A round is sampled only if its pairs fit in
@@ -420,27 +432,34 @@ def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
                 f"down to {float(h1.min()):g}: the weight h^(gamma-1) overflows"
             )
         live = w > 0
-        x1, x2, h1, h2, w = x1[live], x2[live], h1[live], h2[live], w[live]
-        if not len(x1):
-            break
+        if not live.all():
+            x1, x2, h1, h2, w = x1[live], x2[live], h1[live], h2[live], w[live]
+            if ok is not None:
+                ok = ok[:, :, live]
+            if not len(x1):
+                break
+        n = len(x1)
         if ok is None:
-            if evals + 9 * len(x1) > budget_left:
+            if evals + 9 * n > budget_left:
                 return inside, unresolved + float(w.sum()), evals, rounds, True
-            xs = np.stack([x1, 0.5 * (x1 + x2), x2])
-            hs = np.stack([h1, np.sqrt(h1 * h2), h2])
-            ok = member(xs[:, None], hs[None, :])
-        else:
-            ok = ok[:, :, live]
-        evals += ok.size
-        counts = ok.sum(axis=(0, 1))
-        full = counts == 9
+            ok = np.empty((3, 3, n), dtype=bool)
+            for s0 in range(0, n, _BLOCK):
+                s = slice(s0, s0 + _BLOCK)
+                bx1, bx2, bh1, bh2 = x1[s], x2[s], h1[s], h2[s]
+                xs = np.stack([bx1, 0.5 * (bx1 + bx2), bx2])
+                hs = np.stack([bh1, np.sqrt(bh1 * bh2), bh2])
+                ok[:, :, s] = member(xs[:, None], hs[None, :])
+        evals += 9 * n
+        samples = ok.reshape(9, n)
+        full = samples.all(axis=0)
+        hit = samples.any(axis=0)
         rounds += 1
-        if rounds <= min_rounds and len(x1) <= 40_000:
+        if rounds <= min_rounds and n <= 40_000:
             # explore: split sampled-empty cells too, so thin slivers between
             # sample lines of the initial grid still get a second look
             mixed = ~full
         else:
-            mixed = (counts > 0) & ~full
+            mixed = hit & ~full
         inside += float(w[full].sum())
 
         sel = np.flatnonzero(mixed)
@@ -454,7 +473,7 @@ def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
         if rounds > min_rounds:
             unresolved += float(mw[~keep].sum())
         else:
-            unresolved += float(mw[~keep & (counts[sel] > 0)].sum())
+            unresolved += float(mw[~keep & hit[sel]].sum())
         sel, mw = sel[keep], mw[keep]
         cutoff = MAX_CELLS // 4
         if len(sel) > cutoff:
@@ -463,24 +482,34 @@ def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
             sel = sel[order[:cutoff]]
         if not len(sel):
             break
-        if evals + 36 * len(sel) > budget_left:
+        m = len(sel)
+        if evals + 36 * m > budget_left:
             return inside, unresolved + float(w[sel].sum()), evals, rounds, True
-        mx1, mx2, mh1, mh2 = x1[sel], x2[sel], h1[sel], h2[sel]
-        xm = 0.5 * (mx1 + mx2)
-        hm = np.sqrt(mh1 * mh2)
-        xg = np.stack([mx1, 0.5 * (mx1 + xm), xm, 0.5 * (xm + mx2), mx2])
-        hg = np.stack([mh1, np.sqrt(mh1 * hm), hm, np.sqrt(hm * mh2), mh2])
-        g = np.empty((5, 5, len(sel)), dtype=bool)
-        g[::2, ::2] = ok[:, :, sel]
-        g[1::2] = member(xg[1::2, None], hg[None, :])
-        g[::2, 1::2] = member(xg[::2, None], hg[None, 1::2])
-        x1 = np.concatenate([mx1, xm, mx1, xm])
-        x2 = np.concatenate([xm, mx2, xm, mx2])
-        h1 = np.concatenate([mh1, mh1, hm, hm])
-        h2 = np.concatenate([hm, hm, mh2, mh2])
-        # stencil offsets (x, h) of the children, in the order just built
-        quarters = ((0, 0), (1, 0), (0, 1), (1, 1))
-        ok = np.concatenate([g[2 * a:2 * a + 3, 2 * b:2 * b + 3] for a, b in quarters], axis=2)
+        # the children's bounds and stencils, one row per quarter
+        cx1, cx2, ch1, ch2 = (np.empty((4, m)) for _ in range(4))
+        cok = np.empty((3, 3, 4, m), dtype=bool)
+        for s0 in range(0, m, _BLOCK):
+            s = slice(s0, s0 + _BLOCK)
+            bs = sel[s]
+            mx1, mx2, mh1, mh2 = x1[bs], x2[bs], h1[bs], h2[bs]
+            xm = 0.5 * (mx1 + mx2)
+            hm = np.sqrt(mh1 * mh2)
+            xg = np.stack([mx1, 0.5 * (mx1 + xm), xm, 0.5 * (xm + mx2), mx2])
+            hg = np.stack([mh1, np.sqrt(mh1 * hm), hm, np.sqrt(hm * mh2), mh2])
+            g = np.empty((5, 5, len(bs)), dtype=bool)
+            g[::2, ::2] = ok[:, :, bs]
+            g[1::2] = member(xg[1::2, None], hg[None, :])
+            g[::2, 1::2] = member(xg[::2, None], hg[None, 1::2])
+            # quarter q has stencil offsets (a, b) = (q % 2, q // 2) in (x, h)
+            cx1[:, s] = xg[[0, 2, 0, 2]]
+            cx2[:, s] = xg[[2, 4, 2, 4]]
+            ch1[:, s] = hg[[0, 0, 2, 2]]
+            ch2[:, s] = hg[[2, 2, 4, 4]]
+            for q in range(4):
+                a, b = q % 2, q // 2
+                cok[:, :, q, s] = g[2 * a:2 * a + 3, 2 * b:2 * b + 3]
+        x1, x2, h1, h2 = (c.reshape(-1) for c in (cx1, cx2, ch1, ch2))
+        ok = cok.reshape(3, 3, 4 * m)
     return inside, unresolved, evals, rounds, False
 
 

@@ -60,6 +60,14 @@ class TestSmoothstep:
         edges = np.array([-np.inf, 0.0, 1.0, np.inf])
         assert smoothstep_deriv(edges).tolist() == [0.0] * 4
 
+    def test_derivative_vanishes_for_tiny_s(self):
+        # s^2 underflows to 0 below about 1.5e-162, and -1/s overflows for subnormal s
+        assert smoothstep_deriv(np.array([1e-170, 1e-300, 5e-324])).tolist() == [0.0] * 3
+        s = np.geomspace(1e-161, 0.5, 400)
+        a, b = np.exp(-1.0 / s), np.exp(-1.0 / (1.0 - s))
+        plain = (a / s**2 * b + a * (b / (1.0 - s) ** 2)) / (a + b) ** 2
+        assert np.array_equal(smoothstep_deriv(s), plain)
+
     @pytest.mark.parametrize("f", [smoothstep, smoothstep_deriv])
     def test_nan_in_nan_out(self, f):
         s = np.linspace(-0.5, 1.5, 41)

@@ -12,7 +12,8 @@ from slopelab.catalog import dilate, get, make_standard, negate, reflect
 from slopelab.constants import halfline_closed_form
 from slopelab.measure import BudgetExceededError, LevelSetQuery, nu_measure, quotient
 from slopelab.params import Params
-from slopelab.quadrature import _weight_vec, measure_line
+from slopelab import quadrature
+from slopelab.quadrature import MAX_CELLS, _weight_vec, measure_line, shell_weight
 from slopelab.selfsimilar import box_measure, cross_term
 
 
@@ -444,3 +445,159 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="non-finite"):
             measure_line(counted, -2.0, -2.0, 1e-300, pair_box=(-1.0, 1.0))
         assert calls == 0
+
+
+def _reference_refine(member, cells, gamma, target, budget_left, min_rounds=2, reached=None):
+    """``quadrature._refine`` before blocked sampling, one round at a time.
+
+    Every round samples and concatenates whole arrays and compacts them
+    after each weight computation.  ``reached`` collects the branches taken,
+    so a test can show that its cases cover them.
+    """
+    reached = set() if reached is None else reached
+    x1, x2, h1, h2 = cells
+    ok = None
+    inside = 0.0
+    unresolved = 0.0
+    evals = 0
+    rounds = 0
+    while len(x1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (x2 - x1) * shell_weight(gamma, h1, h2)
+        if not np.isfinite(w).all():
+            raise ValueError("non-finite interior cell weight")
+        live = w > 0
+        if ok is not None and not live.all():
+            reached.add("underflow")
+        x1, x2, h1, h2, w = x1[live], x2[live], h1[live], h2[live], w[live]
+        if not len(x1):
+            break
+        if ok is None:
+            if evals + 9 * len(x1) > budget_left:
+                reached.add("budget_first")
+                return inside, unresolved + float(w.sum()), evals, rounds, True
+            xs = np.stack([x1, 0.5 * (x1 + x2), x2])
+            hs = np.stack([h1, np.sqrt(h1 * h2), h2])
+            ok = member(xs[:, None], hs[None, :])
+        else:
+            ok = ok[:, :, live]
+        evals += ok.size
+        counts = ok.sum(axis=(0, 1))
+        full = counts == 9
+        rounds += 1
+        if rounds <= min_rounds and len(x1) <= 40_000:
+            reached.add("explore")
+            mixed = ~full
+        else:
+            mixed = (counts > 0) & ~full
+        inside += float(w[full].sum())
+
+        sel = np.flatnonzero(mixed)
+        mw = w[sel]
+        total_mixed = float(mw.sum())
+        if rounds > min_rounds and total_mixed <= target:
+            unresolved += total_mixed
+            break
+
+        keep = mw > target / (2.0 * MAX_CELLS)
+        if rounds > min_rounds:
+            unresolved += float(mw[~keep].sum())
+        else:
+            unresolved += float(mw[~keep & (counts[sel] > 0)].sum())
+        sel, mw = sel[keep], mw[keep]
+        cutoff = MAX_CELLS // 4
+        if len(sel) > cutoff:
+            reached.add("cap")
+            order = np.argsort(mw, kind="stable")[::-1]
+            unresolved += float(mw[order[cutoff:]].sum())
+            sel = sel[order[:cutoff]]
+        if not len(sel):
+            break
+        if evals + 36 * len(sel) > budget_left:
+            reached.add("budget_split")
+            return inside, unresolved + float(w[sel].sum()), evals, rounds, True
+        if len(sel) > 2 * quadrature._BLOCK:
+            reached.add("three_blocks")
+        mx1, mx2, mh1, mh2 = x1[sel], x2[sel], h1[sel], h2[sel]
+        xm = 0.5 * (mx1 + mx2)
+        hm = np.sqrt(mh1 * mh2)
+        xg = np.stack([mx1, 0.5 * (mx1 + xm), xm, 0.5 * (xm + mx2), mx2])
+        hg = np.stack([mh1, np.sqrt(mh1 * hm), hm, np.sqrt(hm * mh2), mh2])
+        g = np.empty((5, 5, len(sel)), dtype=bool)
+        g[::2, ::2] = ok[:, :, sel]
+        g[1::2] = member(xg[1::2, None], hg[None, :])
+        g[::2, 1::2] = member(xg[::2, None], hg[None, 1::2])
+        x1 = np.concatenate([mx1, xm, mx1, xm])
+        x2 = np.concatenate([xm, mx2, xm, mx2])
+        h1 = np.concatenate([mh1, mh1, hm, hm])
+        h2 = np.concatenate([hm, hm, mh2, mh2])
+        quarters = ((0, 0), (1, 0), (0, 1), (1, 1))
+        ok = np.concatenate([g[2 * a:2 * a + 3, 2 * b:2 * b + 3] for a, b in quarters], axis=2)
+    return inside, unresolved, evals, rounds, False
+
+
+def _grid_cells(x_lo, x_hi, nx, h_lo, h_hi, nh):
+    edges = np.linspace(x_lo, x_hi, nx + 1)
+    shells = np.geomspace(h_lo, h_hi, nh + 1)
+    return (
+        np.repeat(edges[:-1], nh),
+        np.repeat(edges[1:], nh),
+        np.tile(shells[:-1], nx),
+        np.tile(shells[1:], nx),
+    )
+
+
+def _band(x, h):
+    # a curved band in (x, log h)
+    return np.abs(np.log(h) + 2.0 + np.sin(6.0 * x)) < 0.7
+
+
+def _stripes(x, h):
+    # slanted stripes narrower than the initial cells: almost every cell is mixed
+    return np.sin(400.0 * x + 3.0 * np.log(h)) > 0.0
+
+
+def _x_stripes(x, h):
+    # stripes in x alone on the left half, for separations too small for log h
+    return (np.sin(400.0 * x) > 0.0) & (x < 0.5) & (h > 0.0)
+
+
+class TestBlockedRefine:
+    # (member, cells, gamma, target, budget)
+    CASES = {
+        "band": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), 0.5, 1e-7, 10**9),
+        "band_gamma<0": (_band, (0.0, 1.0, 48, 1e-3, 1.0, 16), -0.5, 1e-5, 10**9),
+        "stripes_capped": (_stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), -0.5, 1e-9, 12_000_000),
+        # tiny cells at small h are dropped in the explore rounds, sampled empty or not
+        "x_stripes_drop": (_x_stripes, (0.0, 1.0, 64, 1e-12, 1.0, 40), 1.0, 1e-4, 3_000_000),
+        "stripes_first_round_budget": (_stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), 1.0, 1e-3, 1000),
+        # h^2 underflows below 1.5e-162: cells die in the first and later rounds
+        "underflow": (_x_stripes, (0.0, 1.0, 16, 1e-165, 1e-130, 12), 2.0, 0.0, 3_000_000),
+    }
+
+    @staticmethod
+    def _run(case):
+        member, grid, gamma, target, budget = TestBlockedRefine.CASES[case]
+        cells = _grid_cells(*grid)
+        reached = set()
+        expected = _reference_refine(member, cells, gamma, target, budget, reached=reached)
+        return quadrature._refine(member, cells, gamma, target, budget), expected, reached
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_reference(self, case):
+        got, expected, _ = self._run(case)
+        assert got == expected
+
+    @pytest.mark.parametrize("case", ["band", "underflow"])
+    def test_block_size_does_not_matter(self, case, monkeypatch):
+        expected = self._run(case)[1]
+        monkeypatch.setattr(quadrature, "_BLOCK", 97)
+        assert self._run(case)[0] == expected
+
+    def test_cases_reach_every_branch(self):
+        reached = set()
+        for case in self.CASES:
+            reached |= self._run(case)[2]
+        assert reached == {
+            "explore", "cap", "three_blocks", "budget_first", "budget_split", "underflow",
+        }

@@ -45,6 +45,14 @@ FLAT_SLOPE = 0.05   # a converged sweep's trailing log-log slope stays below thi
 SPREAD = 0.03       # ... and so does the relative spread of its trailing values
 GROWTH = 0.50       # a diverging sweep grows by more than this over its trailing half
 TRAILING = 3        # trailing values averaged into a converged sweep's limit
+LIP_DEPTHS = range(4, 15)       # truncation depths k of the zero-exponent probe
+LIP_DEPTHS_WIDE = range(4, 21)  # ... widened once when the growth stays ambiguous
+BV_COUNT = 12                   # grid points of the indicator-limit sweep
+GROWTH_LAMBDA = 0.25            # threshold of the staircase growth sequence
+DIRECT_UP_TO = 4                # cantor_growth reads generations up to here directly (p = 1)
+LAMBDAS_PER_BIN = 4             # series certificate: grid points per lambda bin
+BBM_POINTS = 4097               # energy functional: x-grid points over the ball
+BBM_DT = 0.2                    # ... and the log-separation step
 
 
 def geometric_grid(lam_from: float, lam_to: float, count: int) -> np.ndarray:
@@ -177,16 +185,15 @@ def truncated_zero_weight_values(
     u: TestFunction,
     lam: float,
     ks: Sequence[int],
-    r_max: float = 1.0,
     rel_tol: float = 1e-2,
 ) -> np.ndarray:
-    """nu_0 over the annulus 2^-k <= |x-y| <= r_max for each k."""
+    """nu_0 over the annulus 2^-k <= |x-y| <= 1 for each k."""
     params = Params(dim=1, p=1.0, gamma=0.0)
     out = np.empty(len(ks))
     for i, k in enumerate(ks):
         est = nu_measure(
             LevelSetQuery(
-                u=u, params=params, lam=lam, annulus=(2.0 ** (-k), r_max), rel_tol=rel_tol
+                u=u, params=params, lam=lam, annulus=(2.0 ** (-k), 1.0), rel_tol=rel_tol
             )
         )
         out[i] = est.value
@@ -212,8 +219,6 @@ def estimate_lipschitz(
     u: TestFunction,
     *,
     iterations: int = 10,
-    k_lo: int = 4,
-    k_hi: int = 14,
     rel_tol: float = 1e-2,
 ) -> float:
     """Recover the Lipschitz seminorm from the zero-exponent dichotomy.
@@ -223,11 +228,11 @@ def estimate_lipschitz(
     bisection on lambda brackets the transition.
     """
     def classify(lam: float) -> str:
-        ks = list(range(k_lo, k_hi + 1))
+        ks = list(LIP_DEPTHS)
         vals = truncated_zero_weight_values(u, lam, ks, rel_tol=rel_tol)
         verdict = growth_classification(ks, vals)
         if verdict == "ambiguous":
-            ks = list(range(k_lo, k_hi + 7))
+            ks = list(LIP_DEPTHS_WIDE)
             vals = truncated_zero_weight_values(u, lam, ks, rel_tol=rel_tol)
             verdict = growth_classification(ks, vals)
             if verdict == "ambiguous":
@@ -269,7 +274,6 @@ def bv_indicator_limit(
     length: float,
     gamma: float,
     *,
-    count: int = 12,
     rel_tol: float = 5e-3,
 ) -> Sweep:
     """Extrapolated limit of lambda * measure for the indicator of [0, L].
@@ -284,9 +288,9 @@ def bv_indicator_limit(
     u = make_standard(f"interval_indicator({length:g})")
     params = Params(dim=1, p=1.0, gamma=gamma)
     if gamma > -1.0:
-        grid = geometric_grid(8.0, 2.0**14, count)
+        grid = geometric_grid(8.0, 2.0**14, BV_COUNT)
     else:
-        grid = geometric_grid(1.0 / 8.0, 2.0**-14, count)
+        grid = geometric_grid(1.0 / 8.0, 2.0**-14, BV_COUNT)
     return sweep(u, params, grid, rel_tol=rel_tol)
 
 
@@ -316,10 +320,15 @@ def cantor_growth(
     gamma: float,
     p: float,
     m_range: Sequence[int],
-    lam: float = 0.25,
     rel_tol: float = 5e-3,
 ) -> GrowthSequence:
-    """Box-restricted staircase measures A(m, lam) with their witness floors.
+    """Box-restricted staircase measures A(m, lam) with their witness floors,
+    at lam = ``GROWTH_LAMBDA``.
+
+    For p > 1 every generation is a direct box measure.  For p = 1 the
+    generations up to ``DIRECT_UP_TO`` are, and deeper ones extend the exact
+    recursion A(j) = A(j-1) + X(j) from the deepest generation read so far,
+    or from a direct A(``DIRECT_UP_TO``) when none was.
 
     The floor for generation m is m times the measure of the corner witness
     rectangle [0, rho^2] x [1 - rho^2, 1], evaluated by the engine itself
@@ -332,24 +341,23 @@ def cantor_growth(
             raise ValueError(
                 f"generations {bad} violate the admissible range m - 1 <= {cap:g} for p={p:g}"
             )
+    lam = GROWTH_LAMBDA
     rect = rectangle_floor_measure(gamma, p, lam, rel_tol=rel_tol)
-    m_direct = selfsimilar.DIRECT_GENERATIONS if p > 1.0 else 4
     records = []
     running = None  # (m, value, error) of the deepest ladder state so far
     for m in sorted(m_range):
-        if p > 1.0 or m <= m_direct:
-            est = selfsimilar.box_measure(gamma, p, lam, m, rel_tol=rel_tol)
-            records.append(GrowthRecord(m=m, value=est.value, error=est.error, floor=m * rect))
-            running = (m, est.value, est.error)
-        else:
-            # extend the exact recursion A(j) = A(j-1) + X(j) from the last state
-            prev_m, val, err = running
-            for j in range(prev_m + 1, m + 1):
-                x = selfsimilar.cross_term(gamma, p, lam, j, rel_tol=rel_tol)
-                val += x.value
-                err += x.error
-            records.append(GrowthRecord(m=m, value=val, error=err, floor=m * rect))
-            running = (m, val, err)
+        direct = p > 1.0 or m <= DIRECT_UP_TO
+        if direct or running is None:
+            start = m if direct else DIRECT_UP_TO
+            est = selfsimilar.box_measure(gamma, p, lam, start, rel_tol=rel_tol)
+            running = (start, est.value, est.error)
+        prev_m, val, err = running
+        for j in range(prev_m + 1, m + 1):
+            x = selfsimilar.cross_term(gamma, p, lam, j, rel_tol=rel_tol)
+            val += x.value
+            err += x.error
+        running = (m, val, err)
+        records.append(GrowthRecord(m=m, value=val, error=err, floor=m * rect))
     ms = np.array([r.m for r in records])
     vals = np.array([r.value for r in records])
     slope = float(np.polyfit(ms, vals, 1)[0]) if len(records) > 1 else 0.0
@@ -429,9 +437,6 @@ def bbm_functional(
     p: float,
     radius: float,
     s_grid: Sequence[float],
-    *,
-    n_x: int = 4097,
-    dt: float = 0.2,
 ) -> EnergyCurve:
     """s * double integral of |u(x)-u(y)|^p / |x-y|^(1+p-sp) over the ball.
 
@@ -445,7 +450,7 @@ def bbm_functional(
         if not 0.0 < s < 1.0:
             raise ValueError(f"s must lie in (0, 1), got {s}")
 
-    xs = np.linspace(-radius, radius, n_x)
+    xs = np.linspace(-radius, radius, BBM_POINTS)
     ux = u.eval(xs)
 
     def d_p(h):
@@ -474,7 +479,7 @@ def bbm_functional(
             values.append(math.inf)  # the small-separation energy diverges
             continue
         head = 2.0 * s * c_fit * h_lin ** (alpha + sp - p) / (alpha + sp - p) if c_fit else 0.0
-        t = np.arange(math.log(h_lin), math.log(2.0 * radius) + dt, dt)
+        t = np.arange(math.log(h_lin), math.log(2.0 * radius) + BBM_DT, BBM_DT)
         hs = np.exp(t)
         dvals = np.array([d_p(h) for h in hs])
         integrand = dvals * hs ** (sp - p)
@@ -522,7 +527,6 @@ class SeriesCertificate:
 def series_divergence(
     series: TestFunction,
     *,
-    lam_per_bin: int = 4,
     rel_tol: float = 3e-2,
 ) -> SeriesCertificate:
     """Per-bin infima of lambda times the block-core level-set measure.
@@ -546,7 +550,7 @@ def series_divergence(
         n = blk.n
         lam_hi = blk.lam / n**2
         lam_lo = blk.lam_next / (n + 1) ** 2
-        grid = np.geomspace(lam_lo * 1.0000001, lam_hi, lam_per_bin)
+        grid = np.geomspace(lam_lo * 1.0000001, lam_hi, LAMBDAS_PER_BIN)
         best = math.inf
         best_err = math.inf
         scale_factor = blk.radius ** (1.0 + gamma)

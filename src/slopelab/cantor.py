@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,37 +51,29 @@ class CantorSpec:
     gamma: float
     m: int
     rho: float = field(init=False)
-    g0: Callable[[np.ndarray], np.ndarray] = None
-    g0_deriv: Callable[[np.ndarray], np.ndarray] = None
 
     def __post_init__(self):
         if not (-1.0 < self.gamma < 0.0):
             raise ValueError(f"gamma must lie in (-1, 0), got {self.gamma}")
         if self.m < 0 or int(self.m) != self.m:
             raise ValueError(f"generation must be a nonnegative integer, got {self.m}")
-        rho = 2.0 ** (-1.0 / (1.0 + self.gamma))
-        object.__setattr__(self, "rho", rho)
-        if self.g0 is None:
-            # base profile: C-infinity 0 -> 1 transition supported in (rho, 1 - rho)
-            width = 1.0 - 2.0 * rho
-            object.__setattr__(
-                self, "g0", lambda x: smoothstep((np.asarray(x, dtype=float) - rho) / width)
-            )
-            object.__setattr__(
-                self,
-                "g0_deriv",
-                lambda x: smoothstep_deriv((np.asarray(x, dtype=float) - rho) / width) / width,
-            )
-        elif self.g0_deriv is None:
-            raise ValueError("a custom base profile must come with its derivative")
+        object.__setattr__(self, "rho", 2.0 ** (-1.0 / (1.0 + self.gamma)))
 
-    def lip_bound(self, m: Optional[int] = None) -> float:
-        """Upper bound for the staircase slope: (2 rho)^-m * max g0'."""
-        m = self.m if m is None else m
+    def g0(self, x):
+        """Base profile: C-infinity 0 -> 1 transition supported in (rho, 1 - rho)."""
         width = 1.0 - 2.0 * self.rho
-        peak = 2.0 / width  # max of the default base-profile derivative
+        return smoothstep((np.asarray(x, dtype=float) - self.rho) / width)
+
+    def g0_deriv(self, x):
+        width = 1.0 - 2.0 * self.rho
+        return smoothstep_deriv((np.asarray(x, dtype=float) - self.rho) / width) / width
+
+    def lip_bound(self) -> float:
+        """Upper bound for the staircase slope: (2 rho)^-m * max g0'."""
+        width = 1.0 - 2.0 * self.rho
+        peak = 2.0 / width  # max of g0_deriv
         try:
-            return peak * (2.0 * self.rho) ** (-m)
+            return peak * (2.0 * self.rho) ** (-self.m)
         except OverflowError:
             return math.inf
 
@@ -231,14 +222,12 @@ def _cutoff_1d_deriv(s):
 _CUTOFF_LIP = 4.0  # |eta'| <= 2 * smoothstep peak = 4
 
 
-def block_function(spec: CantorSpec, dim: int = 1, shifted: bool = False) -> TestFunction:
-    """Compactly supported staircase block 16 * g_m(x1) * eta(x).
+def block_function(spec: CantorSpec, shifted: bool = False) -> TestFunction:
+    """Compactly supported staircase block 16 * g_m(x) * eta(x) on the line.
 
-    ``shifted`` moves the block to x1 in (1, 4) (the translate used by the
-    divergence series); the unshifted block lives on x1 in (-1, 2).
+    ``shifted`` moves the block to x in (1, 4) (the translate used by the
+    divergence series); the unshifted block lives on x in (-1, 2).
     """
-    if dim != 1:
-        raise ValueError("blocks are built in one dimension here")
     c = 2.0 if shifted else 0.0
 
     def ev(x):
@@ -276,39 +265,32 @@ def block_function(spec: CantorSpec, dim: int = 1, shifted: bool = False) -> Tes
 class SeriesBlock:
     n: int
     radius: float          # R_n = 2^(2n)
-    lam: float             # lambda_n = R_n^-(N+gamma) * omega(R_{n+1})
+    lam: float             # lambda_n = R_n^-(1+gamma) (the decay omega is 1 here)
     lam_next: float        # lambda_{n+1} (schedule value; block may be truncated away)
     m: int                 # staircase generations for this block
-    coef: float            # omega(R_{n+1}) / (R_n^(N-1) n^2)
+    coef: float            # 1 / n^2
     spec: CantorSpec
 
 
-def series_schedule(
-    gamma: float,
-    n_max: int,
-    decay: Optional[Callable[[float], float]] = None,
-    m_cap: int = DEFAULT_M_CAP,
-    dim: int = 1,
-) -> list[SeriesBlock]:
-    """Block parameters R_n, lambda_n, m(n) for n = 2 .. n_max.
+def series_schedule(gamma: float, n_max: int, m_cap: int = DEFAULT_M_CAP) -> list[SeriesBlock]:
+    """Block parameters R_n, lambda_n, m(n) for n = 2 .. n_max, on the line.
 
     m(n) is the smallest integer satisfying the growth requirement
-    m(n) >= 4 (lambda_n / lambda_{n+1}) n^3 / omega(R_{n+1}); blocks whose
-    m(n) exceeds ``m_cap`` are rejected with a diagnostic.
+    m(n) >= 4 (lambda_n / lambda_{n+1}) n^3; blocks whose m(n) exceeds
+    ``m_cap`` are rejected with a diagnostic.
     """
     if n_max < 2:
         raise ValueError(f"the series needs n_max >= 2, got {n_max}")
-    omega = decay if decay is not None else (lambda s: 1.0)
 
     def radius(n):
         return 2.0 ** (2 * n)
 
     def lam(n):
-        return radius(n) ** (-(dim + gamma)) * omega(radius(n + 1))
+        return radius(n) ** (-(1 + gamma))
 
     blocks = []
     for n in range(2, n_max + 1):
-        need = 4.0 * (lam(n) / lam(n + 1)) * (1.0 / omega(radius(n + 1))) * n**3
+        need = 4.0 * (lam(n) / lam(n + 1)) * n**3
         m_n = int(math.ceil(need - 1e-12))
         if m_n > m_cap:
             raise BlockCapError(
@@ -322,19 +304,14 @@ def series_schedule(
                 lam=lam(n),
                 lam_next=lam(n + 1),
                 m=m_n,
-                coef=omega(radius(n + 1)) / (radius(n) ** (dim - 1) * n**2),
+                coef=1.0 / n**2,
                 spec=CantorSpec(gamma=gamma, m=m_n),
             )
         )
     return blocks
 
 
-def counterexample_series(
-    gamma: float,
-    n_max: int,
-    decay: Optional[Callable[[float], float]] = None,
-    m_cap: int = DEFAULT_M_CAP,
-) -> TestFunction:
+def counterexample_series(gamma: float, n_max: int, m_cap: int = DEFAULT_M_CAP) -> TestFunction:
     """Truncated series of rescaled staircase blocks with disjoint supports.
 
     Block n occupies (R_n, 4 R_n); consecutive supports touch at endpoints
@@ -343,7 +320,7 @@ def counterexample_series(
     """
     if not (-1.0 < gamma < 0.0):
         raise ValueError(f"the staircase series needs gamma in (-1, 0), got {gamma}")
-    blocks = series_schedule(gamma, n_max, decay=decay, m_cap=m_cap)
+    blocks = series_schedule(gamma, n_max, m_cap=m_cap)
     funcs = [block_function(b.spec, shifted=True) for b in blocks]
 
     def ev(x):

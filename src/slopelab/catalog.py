@@ -618,14 +618,19 @@ def _parse_id(ident: str) -> tuple[str, Optional[float]]:
 
 
 def make_standard(ident: str, dim: int = 1) -> TestFunction:
-    """Build a standard catalog entry from its string id.
+    """Build a catalog entry from its string id: the standard entries plus the
+    mollified indicators.
 
     Parameterized ids take the form ``name(value)``; bare names use the
-    defaults interval_indicator(1), linear_ramp(1), ball_indicator(1).
+    defaults interval_indicator(1), linear_ramp(1), ball_indicator(1),
+    mollified_indicator(3).
     """
     name, arg = _parse_id(ident)
+    if name == "mollified_indicator":
+        return mollified_indicator(int(arg) if arg is not None else 3, dim)
     if name not in STANDARD_IDS:
-        raise KeyError(f"unknown catalog id {ident!r}; known: {', '.join(STANDARD_IDS)}")
+        known = ", ".join(STANDARD_IDS + ("mollified_indicator",))
+        raise KeyError(f"unknown catalog id {ident!r}; known: {known}")
     if name in ("tent", "smooth_bump", "halfline_step", "interval_indicator", "linear_ramp"):
         if dim != 1 and name != "smooth_bump":
             raise ValueError(f"{name} is one-dimensional, got dim={dim}")
@@ -645,9 +650,4 @@ def make_standard(ident: str, dim: int = 1) -> TestFunction:
     raise AssertionError("unreachable")
 
 
-def get(ident: str, dim: int = 1):
-    """Resolve a function id: standard entries plus the constructed families."""
-    name, arg = _parse_id(ident)
-    if name == "mollified_indicator":
-        return mollified_indicator(int(arg) if arg is not None else 3, dim)
-    return make_standard(ident, dim)
+get = make_standard  # the same registry under its older name

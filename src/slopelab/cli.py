@@ -105,10 +105,6 @@ def _versions() -> dict:
     }
 
 
-def _resolve_function(args):
-    return catalog.get(args.fn, dim=args.dim)
-
-
 def _params(args) -> Params:
     return Params(dim=args.dim, p=args.p, gamma=args.gamma)
 
@@ -127,7 +123,7 @@ def _cmd_kappa(args):
 
 
 def _cmd_measure(args):
-    u = _resolve_function(args)
+    u = catalog.make_standard(args.fn, dim=args.dim)
     annulus = None
     if args.delta is not None or args.r_max is not None:
         annulus = (args.delta or 0.0, args.r_max if args.r_max is not None else math.inf)
@@ -165,7 +161,7 @@ def _sweep_rows(s):
 
 
 def _cmd_sweep(args):
-    u = _resolve_function(args)
+    u = catalog.make_standard(args.fn, dim=args.dim)
     grid = analysis.geometric_grid(args.lam_from, args.lam_to, args.count)
     s = analysis.sweep(u, _params(args), grid, rel_tol=args.tol, budget=args.budget)
     header, rows, extra = _sweep_rows(s)
@@ -176,7 +172,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_weaknorm(args):
-    u = _resolve_function(args)
+    u = catalog.make_standard(args.fn, dim=args.dim)
     value = analysis.weak_norm(u, _params(args), rel_tol=args.tol)
     if args.require_finite and math.isinf(value):
         raise InfiniteWhereFiniteRequired("weak-type quasi-norm is infinite")
@@ -188,7 +184,7 @@ def _cmd_weaknorm(args):
 
 
 def _cmd_lipschitz(args):
-    u = _resolve_function(args)
+    u = catalog.make_standard(args.fn)
     value = analysis.estimate_lipschitz(u)
     return ["function", "lipschitz_estimate"], [(u.id, value)], {}
 
@@ -225,7 +221,7 @@ def _cmd_series(args):
 
 
 def _cmd_bbm(args):
-    u = _resolve_function(args)
+    u = catalog.make_standard(args.fn)
     s_grid = [float(s) for s in args.s_grid.split(",")]
     curve = analysis.bbm_functional(u, args.p, args.radius, s_grid)
     rows = list(zip(curve.s_values, curve.values))
@@ -235,7 +231,7 @@ def _cmd_bbm(args):
 def _cmd_stopping(args):
     if not args.gamma < -1:
         raise ConfigError(f"the stopping construction requires gamma < -1, got {args.gamma}")
-    u = _resolve_function(args)
+    u = catalog.make_standard(args.fn)
     if u.grad is not None:
         f = lambda t: abs(float(u.eval(np.array([t]))[0]))
     else:
@@ -294,6 +290,8 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI: every command takes ``--out`` and ``--json`` plus exactly the
+    flags it reads."""
     parser = argparse.ArgumentParser(
         prog="slopelab",
         description="weighted level-set functionals of difference quotients: "
@@ -301,92 +299,109 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "seed": dict(type=int, default=0),
+        "tol": dict(type=float, default=5e-3, help="relative tolerance"),
+        "budget": dict(type=int, default=40_000_000),
+        "dim": dict(type=int, default=1),
+        "fn": dict(type=str, required=True, help="catalog function id"),
+        "gamma": dict(type=float, default=1.0),
+        "p": dict(type=float, default=1.0),
+        "require-finite": dict(action="store_true"),
+    }
 
-    def common(sp, fn=False, regime=True, lam=False):
+    def command(name, help, flags=""):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--out", type=str, default=None, help="CSV output path")
         sp.add_argument("--json", dest="json_path", type=str, default=None, help="JSON sidecar path")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=5e-3, help="relative tolerance")
-        sp.add_argument("--budget", type=int, default=40_000_000)
-        sp.add_argument("--dim", type=int, default=1)
-        if fn:
-            sp.add_argument("--fn", type=str, required=True, help="catalog function id")
-        if regime:
-            sp.add_argument("--gamma", type=float, default=1.0)
-            sp.add_argument("--p", type=float, default=1.0)
-        if lam:
-            sp.add_argument("--lambda", dest="lam", type=float, required=True)
+        for flag in flags.split():
+            sp.add_argument("--" + flag, **shared[flag])
+        return sp
 
-    sp = sub.add_parser("kappa", help="sphere-average constant")
-    common(sp, regime=True)
-    sp = sub.add_parser("measure", help="one weighted level-set measure")
-    common(sp, fn=True, lam=True)
+    command("kappa", "sphere-average constant", "p dim")
+    sp = command("measure", "one weighted level-set measure",
+                 "fn dim gamma p tol budget seed require-finite")
+    sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--method", choices=["auto", "grid1d", "rotation2d", "montecarlo"], default="auto")
     sp.add_argument("--delta", type=float, default=None, help="annulus inner radius")
     sp.add_argument("--r-max", type=float, default=None, help="annulus outer radius")
     sp.add_argument("--mc-samples", type=int, default=200_000)
-    sp.add_argument("--require-finite", action="store_true")
-    sp = sub.add_parser("sweep", help="lambda sweep with extrapolated limit")
-    common(sp, fn=True)
+    sp = command("sweep", "lambda sweep with extrapolated limit",
+                 "fn dim gamma p tol budget require-finite")
     sp.add_argument("--lambda-from", dest="lam_from", type=float, required=True)
     sp.add_argument("--lambda-to", dest="lam_to", type=float, required=True)
     sp.add_argument("--count", type=int, default=12)
-    sp.add_argument("--require-finite", action="store_true")
-    sp = sub.add_parser("weaknorm", help="weak-type quasi-norm (grid lower bound)")
-    common(sp, fn=True)
-    sp.add_argument("--require-finite", action="store_true")
-    sp = sub.add_parser("lipschitz", help="Lipschitz seminorm via the zero-exponent dichotomy")
-    common(sp, fn=True, regime=False)
-    sp = sub.add_parser("cantor", help="staircase level-set growth in the generation")
-    common(sp)
+    command("weaknorm", "weak-type quasi-norm (grid lower bound)",
+            "fn dim gamma p tol require-finite")
+    command("lipschitz", "Lipschitz seminorm via the zero-exponent dichotomy", "fn")
+    sp = command("cantor", "staircase level-set growth in the generation", "p")
+    sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--m-min", type=int, default=1)
     sp.add_argument("--m-max", type=int, default=6)
-    sp = sub.add_parser("mollified", help="mollified-indicator growth at gamma=-1")
-    common(sp)
+    sp = command("mollified", "mollified-indicator growth at gamma=-1", "p")
     sp.add_argument("--m-min", type=int, default=2)
     sp.add_argument("--m-max", type=int, default=8)
-    sp = sub.add_parser("series", help="divergence certificate for the truncated series")
-    common(sp)
+    sp = command("series", "divergence certificate for the truncated series")
+    sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--n-max", type=int, default=3)
     sp.add_argument("--m-cap", type=int, default=2**14)
-    sp = sub.add_parser("bbm", help="small-exponent energy functional")
-    common(sp, fn=True)
+    sp = command("bbm", "small-exponent energy functional", "fn p")
     sp.add_argument("--radius", type=float, default=2.0)
     sp.add_argument("--s-grid", type=str, default="0.2,0.1,0.05,0.025")
-    sp = sub.add_parser("stopping", help="calibrated stopping-time intervals (gamma < -1)")
-    common(sp, fn=True)
-    sp = sub.add_parser("bv-limit", help="indicator limit (bounded-variation mismatch)")
-    common(sp)
+    sp = command("stopping", "calibrated stopping-time intervals (gamma < -1)", "fn")
+    sp.add_argument("--gamma", type=float, required=True)
+    sp = command("bv-limit", "indicator limit (bounded-variation mismatch)", "gamma tol")
     sp.add_argument("--length", type=float, default=1.0)
-    sp = sub.add_parser("reproduce-all", help="run the full acceptance suite")
-    common(sp, regime=False)
+    command("reproduce-all", "run the full acceptance suite")
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Merge a JSON config with CLI flags; explicit flags win."""
-    if "--config" not in argv:
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Splice a JSON config's settings into ``argv`` as flags of its command.
+
+    Config keys are flag names without the dashes (``lambda_from`` or
+    ``lambda-from`` for ``--lambda-from``); ``true`` sets a store-true flag
+    and ``false`` leaves it off.  A key the command does not take is a
+    configuration error.  The config's flags go right after the command
+    name, so a flag also given on the command line, as ``--flag value`` or
+    ``--flag=value``, is parsed later and wins.
+    """
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    idx = argv.index("--config")
-    cfg_path = argv[idx + 1]
-    with open(cfg_path, "r", encoding="utf-8") as fh:
+    with open(known.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("a config file holds one JSON object")
     command = cfg.pop("command", None)
-    merged = argv[:idx] + argv[idx + 2 :]
-    if command and (not merged or merged[0] not in COMMANDS):
-        merged = [command] + merged
+    if rest and rest[0] in COMMANDS:
+        command, rest = rest[0], rest[1:]
+    if command not in COMMANDS:
+        raise ConfigError(f"no command given (config command {command!r})")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._option_string_actions
+    tokens = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in merged:
-            merged.extend([flag, str(value)])
-    return merged
+        action = actions.get(flag)
+        if action is None or action.dest == "help":
+            raise ConfigError(f"{command} takes no {flag} (config key {key!r})")
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} is a switch; give true or false")
+        elif value:
+            tokens.append(flag)
+    return [command, *tokens, *rest]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

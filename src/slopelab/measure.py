@@ -34,7 +34,6 @@ class LevelSetQuery:
     params: Params
     lam: float
     annulus: Optional[tuple[float, float]] = None   # restrict to delta <= |x-y| <= R
-    pair_box: Optional[tuple[float, float]] = None  # restrict both coordinates (1D)
     method: str = "auto"                            # auto | grid1d | rotation2d | montecarlo
     rel_tol: float = 5e-3
     budget: int = 40_000_000
@@ -85,14 +84,13 @@ def quotient(u: TestFunction, b: float, x, y) -> float:
     return (ux - uy) / dist ** (1.0 + b)
 
 
-def _from_engine(est: EngineEstimate, method: str, seed=None) -> MeasureEstimate:
+def _from_engine(est: EngineEstimate, method: str) -> MeasureEstimate:
     return MeasureEstimate(
         value=est.value,
         error_bound=est.error,
         method=method,
         evaluations=est.evaluations,
         tail_analytic=est.tail,
-        seed=seed,
         diagnostics=est.diagnostics,
     )
 
@@ -112,7 +110,6 @@ def nu_measure(q: LevelSetQuery) -> MeasureEstimate:
             q.params.b,
             q.lam,
             h_window=q.annulus,
-            pair_box=q.pair_box,
             rel_tol=q.rel_tol,
             budget=q.budget,
         )

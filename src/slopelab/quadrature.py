@@ -54,6 +54,9 @@ PRECISION_FLOOR = 1e-250  # below this h, double precision cannot see membership
 EDGE_TOL = 1e-9           # relative size above which an edge mismatch is a jump
 MAX_CELLS = 250_000       # most cells one refinement round hands to the next
 _BLOCK = 4096             # cells sampled per block of a refinement round
+_EXPLORE_ROUNDS = 2       # first rounds of _refine, which also split sampled-empty cells
+_MAX_X_CELLS = 96         # most x-intervals of the initial cell grid
+_GRID_POINTS = 2049       # uniform points of the plateau x-grid before grading
 
 
 @dataclass
@@ -270,11 +273,11 @@ def near_diagonal(
 # plateau interactions: closed form in h, quadrature in x
 # ---------------------------------------------------------------------------
 
-def _graded_grid(profile: LineProfile, n_base: int = 2049) -> np.ndarray:
+def _graded_grid(profile: LineProfile) -> np.ndarray:
     """Uniform grid over [lo, hi] refined geometrically at structural points."""
     lo, hi = profile.lo, profile.hi
     scale = max(hi - lo, 1.0)
-    pts = [np.linspace(lo, hi, n_base)]
+    pts = [np.linspace(lo, hi, _GRID_POINTS)]
     offs = scale * 2.0 ** -np.arange(4.0, 46.0, 0.25)
     for p in profile.grid_points():
         pts.append(np.clip(p + offs, lo, hi))
@@ -376,7 +379,7 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 # the interior cell engine
 # ---------------------------------------------------------------------------
 
-def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
+def _refine(member, cells, gamma, target, budget_left):
     """Round-based quadtree refinement of indicator cells.
 
     A cell [x1, x2] x [h1, h2] is judged on the 3x3 stencil of its corners
@@ -454,7 +457,7 @@ def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
         full = samples.all(axis=0)
         hit = samples.any(axis=0)
         rounds += 1
-        if rounds <= min_rounds and n <= 40_000:
+        if rounds <= _EXPLORE_ROUNDS and n <= 40_000:
             # explore: split sampled-empty cells too, so thin slivers between
             # sample lines of the initial grid still get a second look
             mixed = ~full
@@ -465,12 +468,12 @@ def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
         sel = np.flatnonzero(mixed)
         mw = w[sel]
         total_mixed = float(mw.sum())
-        if rounds > min_rounds and total_mixed <= target:
+        if rounds > _EXPLORE_ROUNDS and total_mixed <= target:
             unresolved += total_mixed
             break
 
         keep = mw > target / (2.0 * MAX_CELLS)
-        if rounds > min_rounds:
+        if rounds > _EXPLORE_ROUNDS:
             unresolved += float(mw[~keep].sum())
         else:
             unresolved += float(mw[~keep & hit[sel]].sum())
@@ -513,7 +516,7 @@ def _refine(member, cells, gamma, target, budget_left, min_rounds=2):
     return inside, unresolved, evals, rounds, False
 
 
-def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, max_x_cells=96):
+def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi):
     pts = profile.grid_points()
     pts = pts[(pts > x_lo) & (pts < x_hi)]
     edges = np.unique(np.concatenate([[x_lo, x_hi], pts]))
@@ -525,8 +528,8 @@ def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, max_x_cells=96):
             filled.extend(np.linspace(a, b, n_extra + 2)[1:-1])
         filled.append(b)
     edges = np.array(filled)
-    if len(edges) > max_x_cells + 1:
-        idx = np.unique(np.linspace(0, len(edges) - 1, max_x_cells + 1).astype(int))
+    if len(edges) > _MAX_X_CELLS + 1:
+        idx = np.unique(np.linspace(0, len(edges) - 1, _MAX_X_CELLS + 1).astype(int))
         edges = edges[idx]
 
     n_shells = max(1, int(math.ceil(math.log2(h_hi / h_lo))))

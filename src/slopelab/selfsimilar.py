@@ -29,7 +29,6 @@ __all__ = [
     "corner_rectangle_weight",
 ]
 
-DIRECT_GENERATIONS = 8   # up to here the plain cell engine resolves everything
 LADDER_STABLE_AFTER = 4  # cross terms computed for this many generations past m0
 
 

@@ -149,6 +149,15 @@ class TestGrowthFamilies:
         for r in seq.records:
             assert r.value >= 0.98 * r.floor
 
+    def test_cantor_growth_from_a_deep_generation(self):
+        # with no shallower generation asked for, the ladder starts from a
+        # direct A(4), exactly as it does when 4 is in the range
+        deep = cantor_growth(-0.5, 1.0, [5], rel_tol=0.1).records[0]
+        both = cantor_growth(-0.5, 1.0, [4, 5], rel_tol=0.1).records[1]
+        assert (deep.m, deep.value.hex(), deep.error.hex()) == (
+            both.m, both.value.hex(), both.error.hex()
+        )
+
     def test_admissibility_guard_for_p_above_one(self):
         with pytest.raises(ValueError):
             cantor_growth(-0.5, 2.0, range(1, 8))

@@ -173,6 +173,11 @@ class TestStaircase:
         with pytest.raises(ValueError):
             CantorSpec(gamma=-1.0, m=1)
 
+    def test_specs_compare_by_value(self):
+        assert CantorSpec(-0.5, 3) == CantorSpec(-0.5, 3)
+        assert hash(CantorSpec(-0.5, 3)) == hash(CantorSpec(-0.5, 3))
+        assert CantorSpec(-0.5, 3) != CantorSpec(-0.5, 4)
+
 
 class TestKernelBits:
     """The compacted, blocked kernel against the plain recursion, bit for bit."""

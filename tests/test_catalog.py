@@ -168,6 +168,12 @@ class TestIndicatorsAndRamps:
         with pytest.raises(KeyError):
             make_standard("sawtooth")
 
+    def test_one_registry(self):
+        assert get is make_standard
+        assert make_standard("mollified_indicator(4)").id == mollified_indicator(4).id
+        assert make_standard("mollified_indicator").id == "mollified_indicator(3)"
+        assert make_standard("mollified_indicator(2)", dim=2).dim == 2
+
 
 class TestMollifiedIndicator:
     def test_plateau_and_support(self):

@@ -2,10 +2,14 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from slopelab.cli import EXIT_BAD_CONFIG, EXIT_INFINITE, EXIT_OK, main
+from slopelab.cli import EXIT_BAD_CONFIG, EXIT_INFINITE, EXIT_OK, build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -156,3 +160,90 @@ class TestReproducibility:
         v = lambda p: float(read_csv(p)[1][0][1])
         assert v(out1) == v(out2)
         assert v(out1) != v(out3)
+
+
+def readme_command_lines():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [ln.strip() for ln in section.splitlines() if ln.strip().startswith("slopelab ")]
+    assert lines, "README's Command line section lists no commands"
+    return lines
+
+
+class TestFlagContract:
+    """Every flag a command takes is one it reads."""
+
+    @pytest.mark.parametrize("line", readme_command_lines())
+    def test_readme_lines_parse(self, line):
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cantor", "--gamma", "-0.5", "--tol", "0.1"],
+            ["stopping", "--fn", "interval_indicator(1)", "--gamma", "-2", "--dim", "2"],
+            ["kappa", "--gamma", "1"],
+            ["lipschitz", "--fn", "tent", "--seed", "3"],
+        ],
+    )
+    def test_flags_a_command_ignores_are_rejected(self, argv):
+        assert main(argv) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cantor", "--m-max", "1"],
+            ["series"],
+            ["stopping", "--fn", "interval_indicator(1)"],
+        ],
+    )
+    def test_gamma_is_required(self, argv):
+        assert main(argv) == EXIT_BAD_CONFIG
+
+
+class TestConfigFile:
+    def write(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_boolean_key_sets_the_switch(self, tmp_path):
+        cfg = self.write(
+            tmp_path,
+            {"command": "measure", "fn": "tent", "gamma": 0, "p": 1, "lambda": 0.5,
+             "require_finite": True},
+        )
+        code, _, side = run(tmp_path, "req", ["--config", cfg])
+        assert code == EXIT_INFINITE
+        assert json.loads(side.read_text())["config"]["require_finite"] is True
+
+    def test_false_leaves_the_switch_off(self, tmp_path):
+        cfg = self.write(
+            tmp_path,
+            {"command": "measure", "fn": "tent", "gamma": 0, "p": 1, "lambda": 0.5,
+             "require_finite": False},
+        )
+        code, _, _ = run(tmp_path, "noreq", ["--config", cfg])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("form", [["--lambda=4"], ["--lambda", "4"]])
+    def test_explicit_flag_beats_config_in_both_forms(self, tmp_path, form):
+        cfg = self.write(
+            tmp_path,
+            {"command": "measure", "fn": "halfline_step", "gamma": -2, "p": 1, "lambda": 1.0},
+        )
+        code, out, side = run(tmp_path, "lam", [f"--config={cfg}", *form])
+        assert code == EXIT_OK
+        assert float(read_csv(out)[1][0][0]) == 4.0
+        assert json.loads(side.read_text())["config"]["lam"] == 4.0
+
+    @pytest.mark.parametrize("key", ["tol", "no_such_flag", "help"])
+    def test_key_the_command_does_not_take_is_config_error(self, tmp_path, key):
+        cfg = self.write(tmp_path, {"command": "cantor", "gamma": -0.5, key: 0.1})
+        assert main(["--config", cfg]) == EXIT_BAD_CONFIG
+
+    def test_sidecar_config_holds_only_applied_settings(self, tmp_path):
+        code, _, side = run(tmp_path, "kappa", ["kappa", "--p", "2", "--dim", "2"])
+        assert code == EXIT_OK
+        config = json.loads(side.read_text())["config"]
+        assert set(config) == {"command", "out", "json_path", "p", "dim"}

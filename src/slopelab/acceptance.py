@@ -155,7 +155,7 @@ def _criterion_7(rec: _Record):
 
 
 def _criterion_8(rec: _Record):
-    """Staircase growth with the engine-computed witness floor (2%)."""
+    """Staircase growth above the closed-form witness floor (2%)."""
     seq = analysis.cantor_growth(-0.5, 1.0, range(1, 7))
     vals = seq.values
     rec.check("nondecreasing in m", bool(np.all(np.diff(vals) >= 0)), True, 0, kind="bool")

@@ -11,15 +11,15 @@ logarithmic divergences from quadrature noise at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import selfsimilar
-from .cantor import CantorSpec, SeriesBlock, staircase_function
+from .cantor import CantorSpec, SeriesBlock
 from .catalog import TestFunction, mollified_indicator, make_standard
-from .measure import LevelSetQuery, MeasureEstimate, nu_measure
+from .measure import LevelSetQuery, nu_measure
 from .params import Params
 
 __all__ = [
@@ -49,7 +49,6 @@ LIP_DEPTHS = range(4, 15)       # truncation depths k of the zero-exponent probe
 LIP_DEPTHS_WIDE = range(4, 21)  # ... widened once when the growth stays ambiguous
 BV_COUNT = 12                   # grid points of the indicator-limit sweep
 GROWTH_LAMBDA = 0.25            # threshold of the staircase growth sequence
-DIRECT_UP_TO = 4                # cantor_growth reads generations up to here directly (p = 1)
 LAMBDAS_PER_BIN = 4             # series certificate: grid points per lambda bin
 BBM_POINTS = 4097               # energy functional: x-grid points over the ball
 BBM_DT = 0.2                    # ... and the log-separation step
@@ -309,11 +308,17 @@ class GrowthRecord:
 @dataclass
 class GrowthSequence:
     records: list
-    slope: float
 
     @property
     def values(self) -> np.ndarray:
         return np.array([r.value for r in self.records])
+
+    @property
+    def slope(self) -> float:
+        """Least-squares slope of the values against m; 0 for one record."""
+        if len(self.records) < 2:
+            return 0.0
+        return float(np.polyfit(np.array([r.m for r in self.records]), self.values, 1)[0])
 
 
 def cantor_growth(
@@ -325,14 +330,17 @@ def cantor_growth(
     """Box-restricted staircase measures A(m, lam) with their witness floors,
     at lam = ``GROWTH_LAMBDA``.
 
-    For p > 1 every generation is a direct box measure.  For p = 1 the
-    generations up to ``DIRECT_UP_TO`` are, and deeper ones extend the exact
-    recursion A(j) = A(j-1) + X(j) from the deepest generation read so far,
-    or from a direct A(``DIRECT_UP_TO``) when none was.
+    For p > 1 every generation is a direct box measure, which can read low:
+    at gamma=-0.2, p=2 it misses the corner identity A(1, lam) =
+    A(0, s lam) + X(1, lam) by 148, where the bounds total 19.  For
+    p = 1 the generations up to ``selfsimilar.DIRECT_UP_TO`` are direct,
+    and deeper ones extend the exact recursion A(j) = A(j-1) + X(j) from the
+    deepest generation read so far, or from a direct A(``DIRECT_UP_TO``)
+    when none was.
 
-    The floor for generation m is m times the measure of the corner witness
-    rectangle [0, rho^2] x [1 - rho^2, 1], evaluated by the engine itself
-    (the closed form is cross-checked in the test suite).
+    The floor for generation m is m times the closed-form weight of the
+    corner witness rectangle [0, rho^2] x [1 - rho^2, 1], whose pairs are
+    all members.
     """
     if p > 1.0:
         cap = (gamma + 1.0) / abs(gamma) * p / (p - 1.0)
@@ -342,13 +350,13 @@ def cantor_growth(
                 f"generations {bad} violate the admissible range m - 1 <= {cap:g} for p={p:g}"
             )
     lam = GROWTH_LAMBDA
-    rect = rectangle_floor_measure(gamma, p, lam, rel_tol=rel_tol)
+    rect = selfsimilar.corner_rectangle_weight(gamma, CantorSpec(gamma=gamma, m=0).rho)
     records = []
     running = None  # (m, value, error) of the deepest ladder state so far
     for m in sorted(m_range):
-        direct = p > 1.0 or m <= DIRECT_UP_TO
+        direct = p > 1.0 or m <= selfsimilar.DIRECT_UP_TO
         if direct or running is None:
-            start = m if direct else DIRECT_UP_TO
+            start = m if direct else selfsimilar.DIRECT_UP_TO
             est = selfsimilar.box_measure(gamma, p, lam, start, rel_tol=rel_tol)
             running = (start, est.value, est.error)
         prev_m, val, err = running
@@ -358,44 +366,7 @@ def cantor_growth(
             err += x.error
         running = (m, val, err)
         records.append(GrowthRecord(m=m, value=val, error=err, floor=m * rect))
-    ms = np.array([r.m for r in records])
-    vals = np.array([r.value for r in records])
-    slope = float(np.polyfit(ms, vals, 1)[0]) if len(records) > 1 else 0.0
-    return GrowthSequence(records=records, slope=slope)
-
-
-def rectangle_floor_measure(gamma: float, p: float, lam: float, rel_tol: float = 5e-3) -> float:
-    """Engine value of the one-sided witness rectangle [0, rho^2] x [1-rho^2, 1].
-
-    Across the rectangle the generation-1 staircase differs by exactly 1 at
-    separations below 1, so for any lam < 1 the superlevel set restricted to
-    the rectangle is the whole rectangle and the engine integrates the plain
-    weight over it.  Pairs come pre-separated by 1 - 2 rho^2, so the annulus
-    skips the diagonal machinery entirely.
-    """
-    from .quadrature import measure_line
-
-    spec = CantorSpec(gamma=gamma, m=1)
-    rho = spec.rho
-    prof = staircase_function(spec).line_profile()
-    a, c = rho * rho, 1.0 - rho * rho
-    if not lam < 1.0:
-        raise ValueError("the witness floor needs lam < 1")
-
-    def region(x, y):
-        return (x <= a) & (y >= c)
-
-    est = measure_line(
-        prof,
-        gamma,
-        gamma / p,
-        lam,
-        pair_box=(0.0, 1.0),
-        region=region,
-        h_window=((c - a) * (1.0 - 1e-12), 1.0),
-        rel_tol=rel_tol,
-    )
-    return est.value / 2.0  # one ordering only: the witness floor is one-sided
+    return GrowthSequence(records=records)
 
 
 def mollified_indicator_growth(
@@ -415,10 +386,7 @@ def mollified_indicator_growth(
         u = mollified_indicator(m, dim=1)
         est = nu_measure(LevelSetQuery(u=u, params=params, lam=1.0, rel_tol=rel_tol))
         records.append(GrowthRecord(m=m, value=est.value, error=est.error_bound))
-    ms = np.array([r.m for r in records])
-    vals = np.array([r.value for r in records])
-    slope = float(np.polyfit(ms, vals, 1)[0]) if len(records) > 1 else 0.0
-    return GrowthSequence(records=records, slope=slope)
+    return GrowthSequence(records=records)
 
 
 # ---------------------------------------------------------------------------

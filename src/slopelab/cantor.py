@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import TestFunction, smoothstep, smoothstep_deriv
-from .profiles import LineProfile
+from .catalog import _SMOOTHSTEP_PEAK, TestFunction, shift, smoothstep, smoothstep_deriv
 
 __all__ = [
     "CantorSpec",
@@ -70,8 +69,7 @@ class CantorSpec:
 
     def lip_bound(self) -> float:
         """Upper bound for the staircase slope: (2 rho)^-m * max g0'."""
-        width = 1.0 - 2.0 * self.rho
-        peak = 2.0 / width  # max of g0_deriv
+        peak = _SMOOTHSTEP_PEAK / (1.0 - 2.0 * self.rho)  # max of g0_deriv
         try:
             return peak * (2.0 * self.rho) ** (-self.m)
         except OverflowError:
@@ -219,41 +217,33 @@ def _cutoff_1d_deriv(s):
     db = -2.0 * smoothstep_deriv(2.0 * (2.0 - s))
     return da * b + a * db
 
-_CUTOFF_LIP = 4.0  # |eta'| <= 2 * smoothstep peak = 4
+_CUTOFF_LIP = 2.0 * _SMOOTHSTEP_PEAK  # |eta'| <= 2 * smoothstep peak
 
 
-def block_function(spec: CantorSpec, shifted: bool = False) -> TestFunction:
-    """Compactly supported staircase block 16 * g_m(x) * eta(x) on the line.
-
-    ``shifted`` moves the block to x in (1, 4) (the translate used by the
-    divergence series); the unshifted block lives on x in (-1, 2).
-    """
-    c = 2.0 if shifted else 0.0
+def block_function(spec: CantorSpec) -> TestFunction:
+    """Compactly supported staircase block 16 * g_m(x) * eta(x) on x in (-1, 2)."""
 
     def ev(x):
-        x = np.asarray(x, dtype=float) - c
+        x = np.asarray(x, dtype=float)
         return 16.0 * staircase(spec, x) * _cutoff_1d(x)
 
     def gr(x):
-        x = np.asarray(x, dtype=float) - c
+        x = np.asarray(x, dtype=float)
         val, dval = _resolve(spec, x, want_deriv=True)
         val, dval = val.reshape(np.shape(x)), dval.reshape(np.shape(x))
         return 16.0 * (dval * _cutoff_1d(x) + val * _cutoff_1d_deriv(x))
 
-    lip = 16.0 * (spec.lip_bound() + _CUTOFF_LIP)
     inner = _generation_points(spec, max_depth=5)
-    bps = tuple(sorted({-1.0 + c, -0.5 + c, 1.5 + c, 2.0 + c} | {p + c for p in inner}))
-    name = "shifted_block" if shifted else "block"
     return TestFunction(
-        id=f"cantor_{name}(gamma={spec.gamma:g},m={spec.m})",
+        id=f"cantor_block(gamma={spec.gamma:g},m={spec.m})",
         dim=1,
         eval=ev,
         grad=gr,
-        support=((-1.0 + c, 2.0 + c),),
+        support=((-1.0, 2.0),),
         compact_support=True,
         sup_norm=16.0,
-        lip=lip,
-        breakpoints=bps,
+        lip=16.0 * (spec.lip_bound() + _CUTOFF_LIP),
+        breakpoints=tuple(sorted({-1.0, -0.5, 1.5, 2.0} | set(inner))),
     )
 
 
@@ -321,7 +311,7 @@ def counterexample_series(gamma: float, n_max: int, m_cap: int = DEFAULT_M_CAP) 
     if not (-1.0 < gamma < 0.0):
         raise ValueError(f"the staircase series needs gamma in (-1, 0), got {gamma}")
     blocks = series_schedule(gamma, n_max, m_cap=m_cap)
-    funcs = [block_function(b.spec, shifted=True) for b in blocks]
+    funcs = [shift(block_function(b.spec), 2.0) for b in blocks]  # on (1, 4)
 
     def ev(x):
         x = np.asarray(x, dtype=float)

@@ -263,7 +263,7 @@ def _make_smooth_bump(dim: int) -> TestFunction:
             out[inside] = xy[inside] * factor[:, None]
             return out
 
-        lip = _bump2d_lip()
+        lip = _bump_lip()  # the profile is the line bump of r
 
         def slicer(theta, offset):
             if abs(offset) >= 1.0:
@@ -293,8 +293,8 @@ def _make_smooth_bump(dim: int) -> TestFunction:
             support=((-1.0, 1.0), (-1.0, 1.0)),
             compact_support=True,
             sup_norm=math.exp(-1.0),
-            grad_l1=_bump2d_grad_l1(),
-            grad_bv=_bump2d_grad_l1(),
+            grad_l1=_bump2d_grad_lp(1.0),
+            grad_bv=_bump2d_grad_lp(1.0),
             grad_lp=_bump2d_grad_lp,
             lip=lip,
             slicer=slicer,
@@ -302,29 +302,11 @@ def _make_smooth_bump(dim: int) -> TestFunction:
     raise ValueError(f"smooth_bump supports dim 1 or 2, got {dim}")
 
 
-def _bump2d_radial_grad(r):
-    d = 1.0 - r * r
-    return -2.0 * r / d**2 * np.exp(-1.0 / d)
-
-
-@lru_cache(maxsize=None)
-def _bump2d_lip() -> float:
-    res = minimize_scalar(
-        lambda r: -abs(float(_bump2d_radial_grad(r))), bounds=(0.0, 1.0), method="bounded"
-    )
-    return float(-res.fun)
-
-
-@lru_cache(maxsize=None)
-def _bump2d_grad_l1() -> float:
-    val, _ = quad(lambda r: abs(_bump2d_radial_grad(r)) * 2.0 * math.pi * r, 0.0, 1.0, limit=200)
-    return float(val)
-
-
 @lru_cache(maxsize=None)
 def _bump2d_grad_lp(p: float) -> float:
-    val, _ = quad(
-        lambda r: abs(_bump2d_radial_grad(r)) ** p * 2.0 * math.pi * r, 0.0, 1.0, limit=200
+    val, _ = quad(  # the 2D profile is the line bump of r
+        lambda r: abs(_bump_grad_1d(np.array([r]))[0]) ** p * 2.0 * math.pi * r,
+        0.0, 1.0, limit=200,
     )
     return float(val ** (1.0 / p))
 
@@ -427,8 +409,9 @@ def mollified_indicator(m: int, dim: int = 1) -> TestFunction:
     on |x| <= 1 - 2^-m; the function vanishes for |x| >= 1 + 2^-m, with a
     smooth monotone radial transition across the collar of width 2^(1-m).
     """
-    if m < 1 or int(m) != m:
+    if not (m >= 1 and float(m).is_integer()):  # also rejects nan and inf
         raise ValueError(f"mollification level must be a positive integer, got {m}")
+    m = int(m)
     eps = 2.0 ** (-m)
     width = 2.0 * eps
     outer = 1.0 + eps
@@ -627,7 +610,7 @@ def make_standard(ident: str, dim: int = 1) -> TestFunction:
     """
     name, arg = _parse_id(ident)
     if name == "mollified_indicator":
-        return mollified_indicator(int(arg) if arg is not None else 3, dim)
+        return mollified_indicator(3 if arg is None else arg, dim)
     if name not in STANDARD_IDS:
         known = ", ".join(STANDARD_IDS + ("mollified_indicator",))
         raise KeyError(f"unknown catalog id {ident!r}; known: {known}")

@@ -28,7 +28,7 @@ import numpy as np
 from .constants import sphere_area
 from .measure import LevelSetQuery, MeasureEstimate
 from .profiles import jump_structure
-from .quadrature import PRECISION_FLOOR, near_diagonal
+from .quadrature import PRECISION_FLOOR, _weight_vec, near_diagonal
 
 __all__ = ["measure_montecarlo"]
 
@@ -50,14 +50,6 @@ def _inverse_cdf(gamma: float, a: float, c: float, qs: np.ndarray) -> np.ndarray
     if gamma == 0.0:
         return a * (c / a) ** qs
     return (a**gamma + qs * (c**gamma - a**gamma)) ** (1.0 / gamma)
-
-
-def _stratum_weight(gamma: float, a: float, c: float) -> float:
-    if math.isinf(c):
-        return a**gamma / abs(gamma)
-    if gamma == 0.0:
-        return math.log(c / a)
-    return (c**gamma - a**gamma) / gamma
 
 
 def measure_montecarlo(q: LevelSetQuery) -> MeasureEstimate:
@@ -107,7 +99,7 @@ def measure_montecarlo(q: LevelSetQuery) -> MeasureEstimate:
     while edges[-1] < r_hi and len(edges) < 64:
         edges.append(min(edges[-1] * 4.0, r_hi))
     edges[-1] = r_hi
-    weights = np.array([_stratum_weight(gamma, a, c) for a, c in zip(edges, edges[1:])])
+    weights = _weight_vec(gamma, edges[:-1], edges[1:])
     alloc = np.maximum(64, (q.mc_samples * weights / weights.sum()).astype(int))
 
     seeds = np.random.SeedSequence(q.seed).spawn(len(weights))

@@ -15,10 +15,6 @@ could never resolve those generations (the direct engine sees at most ~25).
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .cantor import CantorSpec, staircase_function
 from .quadrature import EngineEstimate, measure_line
 
@@ -29,6 +25,7 @@ __all__ = [
     "corner_rectangle_weight",
 ]
 
+DIRECT_UP_TO = 4  # generations read directly before the recursion takes over (p = 1)
 LADDER_STABLE_AFTER = 4  # cross terms computed for this many generations past m0
 
 
@@ -88,15 +85,17 @@ def box_measure_ladder(
     gamma: float,
     lam: float,
     m: int,
-    m0: int = 4,
+    m0: int = DIRECT_UP_TO,
     rel_tol: float = 5e-3,
     budget: int = 40_000_000,
 ) -> EngineEstimate:
     """A(m, lam) for p = 1 via the exact recursion A(j) = A(j-1) + X(j).
 
     Only p = 1 is supported: there the similarity factor is exactly 1, so all
-    cross terms are queried at the same threshold.  (For p > 1 the admissible
-    generations are small enough for the direct engine.)
+    cross terms are queried at the same threshold.  For p > 1 the direct
+    engine is no substitute: at gamma=-0.2, p=2 it reads A(1) 148 below
+    the corner identity A(1, lam) = A(0, s lam) + X(1, lam), where the error
+    bounds total 19.
     """
     if m <= m0:
         est = box_measure(gamma, 1.0, lam, m, rel_tol=rel_tol, budget=budget)

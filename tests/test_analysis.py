@@ -136,10 +136,18 @@ class TestWeakNorm:
 
 class TestGrowthFamilies:
     def test_cantor_floor_matches_closed_form(self):
-        from slopelab.analysis import rectangle_floor_measure
+        from slopelab.cantor import CantorSpec, staircase_function
+        from slopelab.quadrature import measure_line
         from slopelab.selfsimilar import corner_rectangle_weight
 
-        engine = rectangle_floor_measure(-0.5, 1.0, 0.25)
+        # the engine over the one-sided witness rectangle [0, a] x [c, 1],
+        # where every pair is a member
+        spec = CantorSpec(gamma=-0.5, m=1)
+        a, c = spec.rho**2, 1.0 - spec.rho**2
+        engine = measure_line(
+            staircase_function(spec).line_profile(), -0.5, -0.5, 0.25, pair_box=(0.0, 1.0),
+            region=lambda x, y: (x <= a) & (y >= c), h_window=((c - a) * (1.0 - 1e-12), 1.0),
+        ).value / 2.0
         closed = corner_rectangle_weight(-0.5, 0.25)
         assert engine == pytest.approx(closed, rel=0.02)
 

@@ -20,6 +20,7 @@ from slopelab.cantor import (
     staircase,
     staircase_deriv,
 )
+from slopelab.catalog import shift
 
 RNG = np.random.default_rng(7)
 
@@ -275,8 +276,7 @@ class TestBlocks:
 
     def test_gradient_is_the_product_rule(self):
         spec = CantorSpec(gamma=-0.5, m=3)
-        for shifted, c in ((False, 0.0), (True, 2.0)):
-            u = block_function(spec, shifted=shifted)
+        for u, c in ((block_function(spec), 0.0), (shift(block_function(spec), 2.0), 2.0)):
             xs = np.linspace(-1.0, 2.0, 301) + c
             s = xs - c
             expected = 16.0 * (

@@ -213,6 +213,17 @@ class TestMollifiedIndicator:
         with pytest.raises(ValueError):
             mollified_indicator(0)
 
+    @pytest.mark.parametrize("level", ["2.5", "0.9", "nan", "inf"])
+    def test_registry_rejects_non_integer_levels(self, level):
+        # the level is validated, not truncated: 2.5 used to give level 2
+        with pytest.raises(ValueError, match=rf"positive integer, got {level}"):
+            make_standard(f"mollified_indicator({level})")
+
+    def test_registry_accepts_integral_float_levels(self):
+        u = make_standard("mollified_indicator(4.0)")
+        assert u.id == "mollified_indicator(4)"
+        assert u.lip == mollified_indicator(4).lip
+
 
 class TestTransformsAndDescriptors:
     def test_dilate_norms(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from slopelab.cli import EXIT_BAD_CONFIG, EXIT_INFINITE, EXIT_OK, build_parser, main
+from slopelab.selfsimilar import corner_rectangle_weight
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -67,6 +68,43 @@ class TestBasicCommands:
         assert sidecar["endpoints"][1] == pytest.approx(math.sqrt(0.5), abs=1e-7)
 
 
+class TestEveryCommandRuns:
+    """End-to-end runs of the commands no other test reaches; ``series`` and
+    ``reproduce-all`` are left to the acceptance suite."""
+
+    RUNS = {
+        "mollified": (["mollified", "--m-min", "2", "--m-max", "3"], ["m", "value", "error"]),
+        "stopping_smooth": (
+            ["stopping", "--fn", "tent", "--gamma", "-2"],
+            ["interval", "left", "right", "residual"],
+        ),
+        "bbm": (["bbm", "--fn", "tent", "--s-grid", "0.2,0.1"], ["s", "value"]),
+        "weaknorm": (
+            ["weaknorm", "--fn", "tent", "--gamma", "1", "--p", "1", "--tol", "0.05"],
+            ["p", "gamma", "weak_norm_pth_power"],
+        ),
+        "bv_limit": (["bv-limit", "--gamma", "1", "--tol", "0.05"], ["lambda", "value", "error"]),
+        "lipschitz": (["lipschitz", "--fn", "linear_ramp(3)"], ["function", "lipschitz_estimate"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_command_runs(self, tmp_path, name):
+        argv, header = self.RUNS[name]
+        code, out, side = run(tmp_path, name, argv)
+        assert code == EXIT_OK
+        assert read_csv(out)[0] == header
+        assert json.loads(side.read_text())["exit_status"] == EXIT_OK
+
+    def test_cantor_floor_is_the_closed_form(self, tmp_path):
+        code, out, side = run(tmp_path, "cantor", ["cantor", "--gamma", "-0.5", "--m-max", "2"])
+        assert code == EXIT_OK
+        header, rows = read_csv(out)
+        assert header == ["m", "value", "error", "floor"]
+        assert json.loads(side.read_text())["exit_status"] == EXIT_OK
+        rect = corner_rectangle_weight(-0.5, 0.25)  # rho = 1/4 at gamma = -1/2
+        assert [(int(r[0]), float(r[3])) for r in rows] == [(1, rect), (2, 2 * rect)]
+
+
 class TestExitCodes:
     def test_unknown_function_is_config_error(self, tmp_path):
         code, _, _ = run(
@@ -90,6 +128,11 @@ class TestExitCodes:
         args = {"--gamma": "-2", "--p": "1", "--lambda": "1", flag: value}
         argv = ["measure", "--fn", "tent"] + [t for kv in args.items() for t in kv]
         code, _, _ = run(tmp_path, "nonfinite", argv)
+        assert code == EXIT_BAD_CONFIG
+
+    def test_non_integer_mollification_level_is_config_error(self, tmp_path):
+        argv = ["measure", "--fn", "mollified_indicator(2.5)", "--gamma", "1", "--lambda", "4"]
+        code, _, _ = run(tmp_path, "level", argv)
         assert code == EXIT_BAD_CONFIG
 
     def test_infinite_where_finite_required(self, tmp_path):

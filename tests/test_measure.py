@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from slopelab.analysis import rectangle_floor_measure
 from slopelab.cantor import CantorSpec, staircase_function
 from slopelab.catalog import dilate, get, make_standard, negate, reflect
 from slopelab.constants import halfline_closed_form
@@ -325,9 +324,15 @@ class TestSharedVertexSampling:
 
     def test_region_with_narrow_window_pinned(self):
         # a region predicate and an annulus only slightly wider than the
-        # witness rectangle's separations
-        value = rectangle_floor_measure(-0.5, 1.0, 0.25, rel_tol=0.05)
-        assert value == float.fromhex("0x1.1ade0819ce4f1p-8")
+        # separations of the staircase witness rectangle [0, a] x [c, 1]
+        spec = CantorSpec(gamma=-0.5, m=1)
+        a, c = spec.rho**2, 1.0 - spec.rho**2
+        est = measure_line(
+            staircase_function(spec).line_profile(), -0.5, -0.5, 0.25, pair_box=(0.0, 1.0),
+            region=lambda x, y: (x <= a) & (y >= c), h_window=((c - a) * (1.0 - 1e-12), 1.0),
+            rel_tol=0.05,
+        )
+        assert est.value / 2.0 == float.fromhex("0x1.1ade0819ce4f1p-8")
 
     def test_budget_partial_pinned(self):
         # the partial reflects the sampling order when the budget runs out

@@ -119,6 +119,23 @@ class TestVerdicts:
         assert grid.infinite == mc.infinite
 
 
+class TestVerdicts2D:
+    # the indicator's jump of size 1 meets lambda < 1 at gamma = -1: one
+    # divergent slice makes the whole rotation2d query inf, and Monte Carlo
+    # takes the same verdict from the near-diagonal rule
+    @pytest.mark.parametrize("method", ["rotation2d", "montecarlo"])
+    @pytest.mark.parametrize("lam,infinite", [(0.5, True), (2.0, False)])
+    def test_disc_indicator_at_gamma_minus_one(self, method, lam, infinite):
+        disc = make_standard("ball_indicator(1)", dim=2)
+        est = nu_measure(LevelSetQuery(u=disc, params=P(-1.0, 1.0, dim=2), lam=lam,
+                                       method=method, seed=1))
+        if infinite:
+            assert est.value == est.error_bound == math.inf
+            assert "diverges" in est.diagnostics["reason"]
+        else:
+            assert est.value == est.error_bound == 0.0
+
+
 class TestMonteCarlo:
     def test_seed_reproducibility(self):
         tent = make_standard("tent")

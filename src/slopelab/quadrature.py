@@ -14,7 +14,13 @@ split into two exhaustive families:
   whose singular weight is integrated in closed form, and the membership
   indicator is resolved by quadtree bisection at the superlevel-set boundary.
   Unresolved boundary mass goes half into the value and half into the error
-  bound, so the reported interval brackets the quadrature truth.
+  bound, so the reported interval brackets the quadrature truth.  The edge
+  x + h = hi of this pair domain enters through the cell weight, not the
+  membership: a cell that straddles it weighs only its part inside, in
+  closed form, and no cell wholly beyond it is made.  Membership masks a
+  support edge only where the profile jumps there; at a continuous edge it
+  is sampled straight across, so the edge is not refined as if it were a
+  level-set boundary.
 
 Near the diagonal, one rule, ``near_diagonal``, gives the cutoff below which
 membership is provably impossible or the bound on the mass below a cutoff,
@@ -57,6 +63,7 @@ _BLOCK = 4096             # cells sampled per block of a refinement round
 _EXPLORE_ROUNDS = 2       # first rounds of _refine, which also split sampled-empty cells
 _MAX_X_CELLS = 96         # most x-intervals of the initial cell grid
 _GRID_POINTS = 2049       # uniform points of the plateau x-grid before grading
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass
@@ -125,18 +132,18 @@ def _weight_vec(gamma: float, a, b):
     return out
 
 
-def _ramp_primitive(gamma: float, span: float, h: float) -> float:
-    """Primitive of (h - span) h^(gamma-1), for the two-plateau family.
+def _ramp_primitive(gamma: float, span, h):
+    """Primitive of (h - span) h^(gamma-1), elementwise in span and h.
 
-    The span term is dropped at span == 0, so h = 0 is a valid argument
+    A scalar span of 0 drops the span term, so h = 0 is a valid argument
     wherever the integral of h^gamma converges there (gamma > -1).
     """
-    if span == 0.0:
-        return math.log(h) if gamma == -1.0 else h ** (gamma + 1.0) / (gamma + 1.0)
+    if np.ndim(span) == 0 and span == 0.0:
+        return np.log(h) if gamma == -1.0 else h ** (gamma + 1.0) / (gamma + 1.0)
     if gamma == 0.0:
-        return h - span * math.log(h)
+        return h - span * np.log(h)
     if gamma == -1.0:
-        return math.log(h) + span / h
+        return np.log(h) + span / h
     return h ** (gamma + 1.0) / (gamma + 1.0) - span * h**gamma / gamma
 
 
@@ -149,8 +156,42 @@ def _ramp_integral(gamma: float, span: float, a: float, b: float) -> float:
         # a == 0 only for a zero-width support: the integrand is h^gamma
         return math.inf
     if math.isinf(b):
-        return -_ramp_primitive(gamma, span, a)
-    return _ramp_primitive(gamma, span, b) - _ramp_primitive(gamma, span, a)
+        return float(-_ramp_primitive(gamma, span, a))
+    return float(_ramp_primitive(gamma, span, b) - _ramp_primitive(gamma, span, a))
+
+
+def _cell_weight(gamma: float, x1, x2, h1, h2, top: float):
+    """Weight of the cells [x1, x2] x [h1, h2] inside the pair domain x + h < top.
+
+    A cell wholly inside weighs (x2 - x1) shell_weight(h1, h2), a cell wholly
+    beyond the edge nothing.  A cell that straddles it has the full width up
+    to h = top - x2, and above that the width top - x1 - h until
+    h = top - x1: the integrand of the two-plateau ramp with span top - x1.
+    Rounding in the ramp's primitive is clipped, so that a weight is never
+    negative and never exceeds the whole cell's.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (x2 - x1) * shell_weight(gamma, h1, h2)
+        cut = (x2 + h2 > top).nonzero()[0]
+        if len(cut):
+            x1, x2, h1, h2 = x1[cut], x2[cut], h1[cut], h2[cut]
+            span = top - x1
+            a = np.minimum(np.maximum(top - x2, h1), h2)  # the full width ends here
+            b = np.maximum(np.minimum(h2, span), a)       # the last pair inside
+            part = _ramp_primitive(gamma, span, a) - _ramp_primitive(gamma, span, b)
+            part += (x2 - x1) * shell_weight(gamma, h1, a)
+            w[cut] = np.minimum(np.maximum(part, 0.0, out=part), w[cut], out=part)
+    return w
+
+
+def _geometric_mid(a, b):
+    """sqrt(a b) elementwise, also where the product a b underflows."""
+    ab = a * b
+    mid = np.sqrt(ab)
+    if ab.min() < _TINY:  # subnormal or zero
+        low = ab < _TINY
+        mid[low] = np.sqrt(a[low]) * np.sqrt(b[low])
+    return mid
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +261,9 @@ def near_diagonal(
             return NearCut("probe", reason="unknown Lipschitz constant at b=-1")
         return NearCut("zero", h_cut=min((lam - jump) / L, gap))
 
-    if beta <= 1.0:
-        # below h_s the continuous part alone cannot reach the threshold
+    if beta <= 1.0 or L == 0.0:
+        # below h_s the continuous part alone cannot reach the threshold; with
+        # no continuous part only pairs across a jump can be members
         if beta == 1.0:
             if math.isinf(L):
                 return NearCut("probe", reason="unknown Lipschitz constant at gamma=0")
@@ -232,10 +274,10 @@ def near_diagonal(
                     "the dichotomy predicts divergence",
                 )
             h_s = math.inf
-        elif math.isinf(L):
-            h_s = PRECISION_FLOOR
         elif L == 0.0:
             h_s = math.inf
+        elif math.isinf(L):
+            h_s = PRECISION_FLOOR
         else:
             h_s = (lam / L) ** (1.0 / (1.0 - beta))
         if not jump_set:
@@ -256,8 +298,8 @@ def near_diagonal(
 
         return NearCut("bounded", remainder=rem, cut_for=cut_for)
 
-    # beta > 1 (gamma > 0): every close pair may be a member, but the strip
-    # weight is finite
+    # beta > 1 (gamma > 0) with a continuous part: every close pair may be a
+    # member, but the strip weight is finite
     e = extent + 1.0
 
     def rem2(h, _e=e, _g=gamma):
@@ -308,16 +350,16 @@ def _h_windows(gamma, beta, lam, v, t0, h_hi):
     return w
 
 
-def _edge_jump_sizes(profile: LineProfile) -> tuple[float, ...]:
-    """Mismatches between the profile and its plateaus at the support edges."""
+def _edge_jump_sizes(profile: LineProfile) -> tuple[float, float]:
+    """Jumps between the profile and its plateaus at (lo, hi); 0 where it is continuous."""
     scale = max(profile.span, 1.0)
     eps = scale * 1e-12
     tol = EDGE_TOL * max(profile.sup, 1.0)
     if profile.span == 0.0:
-        return ()
+        return 0.0, 0.0
     v_l = abs(float(profile.f(np.array([profile.lo + eps]))[0]) - profile.left)
     v_r = abs(float(profile.f(np.array([profile.hi - eps]))[0]) - profile.right)
-    return tuple(v for v in (v_l, v_r) if v > tol)
+    return (v_l if v_l > tol else 0.0), (v_r if v_r > tol else 0.0)
 
 
 def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
@@ -379,7 +421,7 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 # the interior cell engine
 # ---------------------------------------------------------------------------
 
-def _refine(member, cells, gamma, target, budget_left):
+def _refine(member, cells, gamma, target, budget_left, top):
     """Round-based quadtree refinement of indicator cells.
 
     A cell [x1, x2] x [h1, h2] is judged on the 3x3 stencil of its corners
@@ -393,28 +435,35 @@ def _refine(member, cells, gamma, target, budget_left):
     5 + 16 profile points per split.  Child (a, b) takes g[2a:2a+3, 2b:2b+3]
     as its stencil, so every cell of a later round starts with its nine
     samples known; its midpoints are the same doubles it would compute
-    itself.  ``member(x, h)`` takes abscissae of shape (n, 1, k) and
+    itself.  Geometric midpoints come from ``_geometric_mid``, which does not
+    underflow.  ``member(x, h)`` takes abscissae of shape (n, 1, k) and
     separations of shape (1, m, k) and returns the (n, m, k) membership of
     the pairs (x, x + h), so the profile runs once per abscissa plus once
     per pair.  The cell axis is last so that numpy's inner loops run along
     it.
 
+    The pair domain ends at x + h = ``top`` (inf for none), and the edge
+    enters through the weight, not the membership: a cell counts only its
+    part inside (``_cell_weight``), and no child wholly beyond the edge is
+    made.  ``member`` masks the edge only where the profile jumps there; at
+    a continuous edge it samples straight across, so a cell that straddles
+    the edge is split only where a level set crosses it.
+
     Sampling runs in blocks of ``_BLOCK`` cells, so that the grids, the
-    profile's temporaries and ``member``'s results stay in cache.  The m
-    cells split in a round are written straight into the next round's
-    arrays: child q of the cell at position i of the split list lands at
-    q m + i, the position that concatenating the four quarters in turn
-    gives it.  Every value is computed elementwise by the same operations
-    on the same doubles, and every later sum, sort and cap sees the cells
-    in the same order, so the result does not depend on the block size.
-    Cells whose weight underflows to 0 are dropped before a round; the
-    arrays are compacted only then.
+    profile's temporaries and ``member``'s results stay in cache.  The
+    children of the m cells split in a round are written straight into the
+    next round's arrays in the order of concatenating the four quarters in
+    turn, each quarter without its children beyond the edge.  Every value
+    is computed elementwise by the same operations on the same doubles, and
+    every later sum, sort and cap sees the cells in the same order, so the
+    result does not depend on the block size.  Cells whose weight underflows
+    to 0 are dropped before a round; the arrays are compacted only then.
 
     ``evaluations`` counts stencil pairs, nine per live cell, not profile
     points: refinement decisions and the budget are the same as for a full
-    3x3 sampling of every cell.  A round is sampled only if its pairs fit in
-    ``budget_left``, nine per fresh cell and 36 per split; otherwise the mass
-    it would have sampled counts as unresolved and the refinement stops.
+    3x3 sampling of every cell.  A round is sampled only if its pairs, nine
+    per cell, fit in ``budget_left``; otherwise the mass it would have
+    sampled counts as unresolved and the refinement stops.
 
     Returns (inside_mass, unresolved_mass, evaluations, rounds, exhausted);
     exhausted is True when the budget stopped the refinement, also before
@@ -427,8 +476,7 @@ def _refine(member, cells, gamma, target, budget_left):
     evals = 0
     rounds = 0
     while len(x1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = (x2 - x1) * shell_weight(gamma, h1, h2)
+        w = _cell_weight(gamma, x1, x2, h1, h2, top)
         if not np.isfinite(w).all():
             raise ValueError(
                 f"non-finite interior cell weight at gamma={gamma:g} for separations "
@@ -450,7 +498,7 @@ def _refine(member, cells, gamma, target, budget_left):
                 s = slice(s0, s0 + _BLOCK)
                 bx1, bx2, bh1, bh2 = x1[s], x2[s], h1[s], h2[s]
                 xs = np.stack([bx1, 0.5 * (bx1 + bx2), bx2])
-                hs = np.stack([bh1, np.sqrt(bh1 * bh2), bh2])
+                hs = np.stack([bh1, _geometric_mid(bh1, bh2), bh2])
                 ok[:, :, s] = member(xs[:, None], hs[None, :])
         evals += 9 * n
         samples = ok.reshape(9, n)
@@ -486,37 +534,61 @@ def _refine(member, cells, gamma, target, budget_left):
         if not len(sel):
             break
         m = len(sel)
-        if evals + 36 * m > budget_left:
+        # which children are made: with no edge, all of them
+        made = None if top == math.inf else _quarters_made(x1[sel], x2[sel], h1[sel], h2[sel], top)
+        counts = [m] * 4 if made is None else np.count_nonzero(made, axis=1).tolist()
+        total = sum(counts)
+        if evals + 9 * total > budget_left:
             return inside, unresolved + float(w[sel].sum()), evals, rounds, True
-        # the children's bounds and stencils, one row per quarter
-        cx1, cx2, ch1, ch2 = (np.empty((4, m)) for _ in range(4))
-        cok = np.empty((3, 3, 4, m), dtype=bool)
+        # the next round's arrays hold the quarters in turn; at[q] is where
+        # quarter q's next child goes
+        at = [0, counts[0], counts[0] + counts[1], total - counts[3]]
+        cx1, cx2, ch1, ch2 = (np.empty(total) for _ in range(4))
+        cok = np.empty((3, 3, total), dtype=bool)
         for s0 in range(0, m, _BLOCK):
             s = slice(s0, s0 + _BLOCK)
             bs = sel[s]
             mx1, mx2, mh1, mh2 = x1[bs], x2[bs], h1[bs], h2[bs]
             xm = 0.5 * (mx1 + mx2)
-            hm = np.sqrt(mh1 * mh2)
+            hm = _geometric_mid(mh1, mh2)
             xg = np.stack([mx1, 0.5 * (mx1 + xm), xm, 0.5 * (xm + mx2), mx2])
-            hg = np.stack([mh1, np.sqrt(mh1 * hm), hm, np.sqrt(hm * mh2), mh2])
+            hg = np.stack([mh1, _geometric_mid(mh1, hm), hm, _geometric_mid(hm, mh2), mh2])
             g = np.empty((5, 5, len(bs)), dtype=bool)
             g[::2, ::2] = ok[:, :, bs]
             g[1::2] = member(xg[1::2, None], hg[None, :])
             g[::2, 1::2] = member(xg[::2, None], hg[None, 1::2])
-            # quarter q has stencil offsets (a, b) = (q % 2, q // 2) in (x, h)
-            cx1[:, s] = xg[[0, 2, 0, 2]]
-            cx2[:, s] = xg[[2, 4, 2, 4]]
-            ch1[:, s] = hg[[0, 0, 2, 2]]
-            ch2[:, s] = hg[[2, 2, 4, 4]]
             for q in range(4):
                 a, b = q % 2, q // 2
-                cok[:, :, q, s] = g[2 * a:2 * a + 3, 2 * b:2 * b + 3]
-        x1, x2, h1, h2 = (c.reshape(-1) for c in (cx1, cx2, ch1, ch2))
-        ok = cok.reshape(3, 3, 4 * m)
+                child = (xg[2 * a], xg[2 * a + 2], hg[2 * b], hg[2 * b + 2])
+                stencil = g[2 * a:2 * a + 3, 2 * b:2 * b + 3]
+                n_keep = len(bs)
+                if made is not None:
+                    idx = made[q, s].nonzero()[0]
+                    if len(idx) < n_keep:
+                        n_keep = len(idx)
+                        child = tuple(c[idx] for c in child)
+                        stencil = stencil.take(idx, axis=2)
+                d = slice(at[q], at[q] + n_keep)
+                for dst, src in zip((cx1, cx2, ch1, ch2), child):
+                    dst[d] = src
+                cok[:, :, d] = stencil
+                at[q] += n_keep
+        x1, x2, h1, h2, ok = cx1, cx2, ch1, ch2, cok
     return inside, unresolved, evals, rounds, False
 
 
-def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi):
+def _quarters_made(x1, x2, h1, h2, top):
+    """(4, n): which quarters of the cells are not wholly beyond x + h = top.
+
+    Quarter q takes the x-half q % 2 and the h-half q // 2.
+    """
+    xm = 0.5 * (x1 + x2)
+    hm = _geometric_mid(h1, h2)
+    return np.stack([x1 + h1 < top, xm + h1 < top, x1 + hm < top, xm + hm < top])
+
+
+def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top):
+    """Cells over [x_lo, x_hi] x [h_lo, h_hi], none wholly beyond x + h = top."""
     pts = profile.grid_points()
     pts = pts[(pts > x_lo) & (pts < x_hi)]
     edges = np.unique(np.concatenate([[x_lo, x_hi], pts]))
@@ -541,7 +613,8 @@ def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi):
     ex2 = np.repeat(edges[1:], n_shells)
     sh1 = np.tile(shells[:-1], len(edges) - 1)
     sh2 = np.tile(shells[1:], len(edges) - 1)
-    return ex1, ex2, sh1, sh2
+    made = ex1 + sh1 < top
+    return ex1[made], ex2[made], sh1[made], sh2[made]
 
 
 def measure_line(
@@ -590,6 +663,19 @@ def measure_line(
     boxed = pair_box is not None
     box_lo, box_hi = pair_box if boxed else (-math.inf, math.inf)
 
+    # The cells' pairs end at x + h = box_hi, or at hi, beyond which the
+    # plateau interactions take over in closed form.  An edge is masked only
+    # where the profile jumps there (a region predicate keeps the box edge
+    # masked too); at a continuous edge the cells are clipped to it instead.
+    # Every cell has x >= box_lo.
+    if boxed:
+        mask_lo, edge = False, box_hi
+        mask_top = region is not None or any(loc == box_hi for loc, _ in profile.jumps)
+    else:
+        jump_lo, jump_hi = _edge_jump_sizes(profile)
+        mask_lo, mask_top, edge = jump_lo > 0.0, jump_hi > 0.0, hi
+    top = math.inf if mask_top else edge
+
     def f(a):
         # a profile callable is only asked for 1-D arrays
         return profile.f(a.reshape(-1)).reshape(a.shape)
@@ -601,11 +687,10 @@ def measure_line(
             thr = lam * h**beta
         y = x + h
         ok = np.abs(f(x) - f(y)) > thr
-        if boxed:
-            ok &= (x >= box_lo) & (y <= box_hi)
-        else:
-            # plateau interactions are handled in closed form
-            ok &= (x > lo) & (y < hi)
+        if mask_lo:
+            ok &= x > lo
+        if mask_top:
+            ok &= (y <= box_hi) if boxed else (y < hi)
         if region is not None:
             ok &= region(x, y)
         return ok
@@ -625,7 +710,7 @@ def measure_line(
         cut = rule(profile.lipschitz, *jump_structure(cell_jumps))
     cuts = [cut]
     if not boxed:
-        edge_jumps = _edge_jump_sizes(profile)
+        edge_jumps = [v for v in (jump_lo, jump_hi) if v]
         cuts.append(rule(profile.lipschitz, max(edge_jumps, default=0.0), len(edge_jumps)))
     for c in cuts:
         if c.kind == "divergent" and h_lo == 0.0:
@@ -646,9 +731,9 @@ def measure_line(
         nonlocal evals, exhausted
         if cell_lo >= cell_top or x_lo >= x_hi:
             return 0.0, 0.0, 0
-        cells = _initial_cells(profile, x_lo, x_hi, cell_lo, cell_top)
+        cells = _initial_cells(profile, x_lo, x_hi, cell_lo, cell_top, top)
         inside, unresolved, spent, rounds, exhausted = _refine(
-            member, cells, gamma, target, budget - evals
+            member, cells, gamma, target, budget - evals, top
         )
         evals += spent
         return inside, unresolved, rounds

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from slopelab.constants import halfline_closed_form
 from slopelab.measure import BudgetExceededError, LevelSetQuery, nu_measure, quotient
 from slopelab.params import Params
 from slopelab import quadrature
-from slopelab.quadrature import MAX_CELLS, _weight_vec, measure_line, shell_weight
+from slopelab.quadrature import MAX_CELLS, _weight_vec, measure_line, near_diagonal, shell_weight
 from slopelab.selfsimilar import box_measure, cross_term
 
 
@@ -30,6 +31,92 @@ class TestWeightVec:
 
     def test_from_zero_for_nonnegative_gamma(self):
         assert _weight_vec(0.5, np.array([0.0]), np.array([4.0])).tolist() == [4.0]
+
+
+class TestCellWeight:
+    # cells [x1, x2] x [h1, h2] against the pair domain x + h < 1
+    CELLS = {
+        "inside": (0.1, 0.3, 0.2, 0.5),
+        "full_width_then_ramp": (0.4, 0.6, 0.3, 0.55),
+        "ramp_to_h2": (0.5, 0.9, 0.05, 0.3),
+        "ramp_closes_inside": (0.7, 0.8, 0.15, 0.5),
+        "last_column": (0.9, 1.0, 1e-3, 0.05),
+        "near_diagonal": (0.99, 1.0, 1e-8, 1e-6),
+        "beyond": (0.6, 0.8, 0.5, 0.7),
+    }
+    GAMMAS = (-3.0, -1.0, -0.5, 0.0, 1.0)
+
+    @staticmethod
+    def _reference(gamma, x1, x2, h1, h2, top=1.0):
+        """The x-integral of the exact h-integral of h^(gamma-1) over [h1, min(h2, top - x)]."""
+        with mpmath.workdps(30):
+            g, lo = mpmath.mpf(gamma), mpmath.mpf(h1)
+
+            def inner(x):
+                b = min(mpmath.mpf(h2), top - x)
+                if b <= lo:
+                    return mpmath.mpf(0)
+                return mpmath.log(b / lo) if gamma == 0.0 else (b**g - lo**g) / g
+
+            kinks = sorted({x1, x2, *(k for k in (top - h2, top - h1) if x1 < k < x2)})
+            return float(mpmath.quad(inner, kinks))
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_matches_quadrature(self, cell, gamma):
+        x1, x2, h1, h2 = (np.array([v]) for v in self.CELLS[cell])
+        got = float(quadrature._cell_weight(gamma, x1, x2, h1, h2, 1.0)[0])
+        full = float(((x2 - x1) * shell_weight(gamma, h1, h2))[0])
+        assert 0.0 <= got <= full
+        assert got == pytest.approx(self._reference(gamma, *self.CELLS[cell]), rel=1e-9, abs=0.0)
+        if cell == "inside":
+            assert got == full
+        if cell == "beyond":
+            assert got == 0.0
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_tiling_sums_to_the_triangle(self, gamma):
+        # cells over [0, 1] x [1e-3, 1] cover {x >= 0, 1e-3 <= h, x + h < 1}, whose
+        # weight is the integral of (1 - h) h^(gamma-1) over [1e-3, 1]
+        x1, x2, h1, h2 = _grid_cells(0.0, 1.0, 16, 1e-3, 1.0, 12)
+        got = float(quadrature._cell_weight(gamma, x1, x2, h1, h2, 1.0).sum())
+        with mpmath.workdps(30):
+            g = mpmath.mpf(gamma)
+            exact = float(mpmath.quad(lambda h: (1 - h) * h ** (g - 1), [1e-3, 1.0]))
+        assert got == pytest.approx(exact, rel=1e-10)
+
+    def test_no_edge_keeps_the_shell_weight(self):
+        x1, x2, h1, h2 = _grid_cells(0.0, 1.0, 8, 1e-3, 1.0, 8)
+        got = quadrature._cell_weight(-0.5, x1, x2, h1, h2, math.inf)
+        assert np.array_equal(got, (x2 - x1) * shell_weight(-0.5, h1, h2))
+
+
+class TestGeometricMid:
+    def test_no_underflow(self):
+        h1 = np.array([1e-200, 1e-250, 3e-170, 1e-300, 0.25])
+        h2 = np.array([2e-200, 1e-249, 1e-169, 1e-299, 1.0])
+        mid = quadrature._geometric_mid(h1, h2)
+        assert np.all(h1 < mid) and np.all(mid < h2)
+
+    def test_same_bits_where_the_product_is_normal(self):
+        rng = np.random.default_rng(5)
+        h1 = 10.0 ** rng.uniform(-150, 0, 1000)
+        h2 = h1 * 10.0 ** rng.uniform(0, 3, 1000)
+        assert np.array_equal(quadrature._geometric_mid(h1, h2), np.sqrt(h1 * h2))
+
+    def test_refine_samples_inside_its_cells(self):
+        # cells near h = 1e-200, where h1 h2 underflows: every sampled
+        # separation lies in the cells' range and none is 0
+        cells = _grid_cells(0.0, 1.0, 8, 1e-201, 1e-199, 6)
+        seen = []
+
+        def member(x, h):
+            seen.append(np.broadcast_to(h, np.broadcast_shapes(x.shape, h.shape)).ravel())
+            return np.broadcast_to(x < 0.37, np.broadcast_shapes(x.shape, h.shape))
+
+        quadrature._refine(member, cells, 0.5, 0.0, 200_000, math.inf)
+        h = np.concatenate(seen)
+        assert len(seen) > 1 and np.all(h >= 1e-201) and np.all(h <= 1e-199)
 
 
 class TestQuotient:
@@ -84,6 +171,39 @@ class TestClosedFormOracle:
         )
         est = nu_measure(LevelSetQuery(u=const, params=P(-2.0), lam=0.5))
         assert est.value == 0.0
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("lam", [0.2, 0.5])
+    def test_indicator_below_its_jump(self, lam):
+        # interval_indicator(1) at gamma=-1/2, p=1: nu = 16 - 8 lam for lam <= 1;
+        # both support edges jump, so the cells keep their masks there
+        ind = make_standard("interval_indicator(1)")
+        est = nu_measure(LevelSetQuery(u=ind, params=P(-0.5), lam=lam))
+        assert abs(est.value - (16.0 - 8.0 * lam)) <= est.error_bound
+
+    def test_indicator_above_lambda_one_at_gamma_one(self):
+        # with no continuous part only pairs across a jump are members, and the
+        # interior (0, 1) has none: no interior pair is sampled, and no strip
+        # remainder enters the bound
+        ind = make_standard("interval_indicator(1)")
+        est = nu_measure(LevelSetQuery(u=ind, params=P(1.0), lam=8.0))
+        assert est.evaluations == 0
+        assert abs(est.value - 0.25) <= est.error_bound < 1e-6
+
+
+class TestNearDiagonal:
+    def test_no_continuous_part_and_no_jump_is_zero(self):
+        cut = near_diagonal(1.0, 2.0, 8.0, lipschitz=0.0, sup=1.0, jump=0.0, jump_set=0,
+                            gap=math.inf, extent=1.0)
+        assert cut.kind == "zero" and cut.h_cut == math.inf
+
+    def test_no_continuous_part_bounds_the_jump_corners(self):
+        cut = near_diagonal(1.0, 2.0, 8.0, lipschitz=0.0, sup=1.0, jump=1.0, jump_set=2,
+                            gap=1.0, extent=1.0)
+        assert cut.kind == "bounded"
+        assert cut.remainder(1e-3) == pytest.approx(2.0 * 1e-6 / 2.0)
+        assert cut.remainder(cut.cut_for(1e-6)) == pytest.approx(1e-6)
 
 
 def riemann_with_tail_oracle(u, gamma, b, lam, h_max, n=4096):
@@ -252,23 +372,26 @@ class TestSentinels:
 
 class TestSharedVertexSampling:
     # (value, error_bound, evaluations) from a full 3x3 sampling of every
-    # cell; sampling a split cell on its 5x5 half-step grid must not move a bit
+    # cell, with cells clipped to x + h < hi (x + h <= 1 for box_measure)
+    # where the profile is continuous there; sampling a split cell on its
+    # 5x5 half-step grid must not move a bit.  Jump edges and region
+    # predicates keep their masks and their numbers.
     PINNED = {
         "tent": (
             lambda: nu_measure(LevelSetQuery(u=make_standard("tent"), params=P(-0.5), lam=0.1)),
-            ("0x1.4641027c1075fp+5", "0x1.7b271ef149a34p-8", 2134422),
+            ("0x1.46412c803ca55p+5", "0x1.6add749a4f428p-7", 266085),
         ),
         "smooth_bump": (
             lambda: nu_measure(
                 LevelSetQuery(u=make_standard("smooth_bump"), params=P(1.0), lam=0.5)
             ),
-            ("0x1.29314c079a715p+1", "0x1.93467f1573462p-9", 1112508),
+            ("0x1.2935db243cd5ep+1", "0x1.c949f86dc63f4p-9", 482805),
         ),
         "mollified_indicator": (
             lambda: nu_measure(
                 LevelSetQuery(u=get("mollified_indicator(4)"), params=P(-2.0), lam=0.5)
             ),
-            ("0x1.c7c73e2e31763p+3", "0x1.185e06e877454p-7", 1742346),
+            ("0x1.c7d47b3da3d0ap+3", "0x1.35ff693e004f0p-7", 454266),
         ),
         # the probe path where it stabilizes: with the Lipschitz constant
         # unknown the probe runs, and its increments are exactly 0
@@ -297,7 +420,7 @@ class TestSharedVertexSampling:
         ),
         "box_measure": (
             lambda: box_measure(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
-            ("0x1.7f7c7d53d777ap+4", "0x1.c06006efa9590p-5", 8717598),
+            ("0x1.7f7cc2c427ccdp+4", "0x1.a1c62502fdc4ap-5", 8086662),
         ),
         "cross_term": (
             lambda: cross_term(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
@@ -309,7 +432,7 @@ class TestSharedVertexSampling:
                     u=make_standard("tent"), params=P(0.0), lam=0.5, annulus=(2**-8, 1.0)
                 )
             ),
-            ("0x1.3dd4f3a7bd6d3p+3", "0x1.e9a262c8115a0p-10", 1736568),
+            ("0x1.3dd73914cdaf1p+3", "0x1.a9abad7b89e5cp-10", 375534),
         ),
     }
 
@@ -340,9 +463,9 @@ class TestSharedVertexSampling:
         with pytest.raises(BudgetExceededError) as err:
             nu_measure(LevelSetQuery(u=tent, params=P(1.0), lam=3.0, budget=250_000))
         partial = err.value.partial
-        assert partial.value == float.fromhex("0x1.427c61c78e9bcp+0")
-        assert partial.error == float.fromhex("0x1.a112a1f27cfc6p-1")
-        assert partial.evaluations == 247644
+        assert partial.value == float.fromhex("0x1.1c8405ef03d2cp-1")
+        assert partial.error == float.fromhex("0x1.7b09505ce2f9cp-10")
+        assert partial.evaluations == 172161
 
     def test_profile_points_at_most_stencil_pairs(self):
         # fresh sampling costs 18 profile points per cell (2 per stencil
@@ -374,23 +497,23 @@ class TestBudgetPerQuery:
         assert math.isfinite(partial.value) and partial.value > 0.0
         assert partial.diagnostics["probe"] == "budget exhausted"
 
-    @pytest.mark.parametrize("budget", [2_000, 50_000, 250_000, 527_778, 2_000_000])
+    @pytest.mark.parametrize("budget", [2_000, 50_000, 130_793, 250_000, 527_778, 2_000_000])
     def test_evaluations_within_budget_unless_raised(self, budget):
-        # unbudgeted, this query takes 1,055,556 evaluations over a preview
+        # unbudgeted, this query takes 261,585 evaluations over a preview
         # and two passes; at 2,000 the preview alone spends the budget
         tent = make_standard("tent")
         q = LevelSetQuery(u=tent, params=P(1.0), lam=3.0, budget=budget)
         try:
             est = nu_measure(q)
         except BudgetExceededError as err:
-            assert budget < 1_055_556
+            assert budget < 261_585
             assert err.partial.evaluations <= budget
             assert err.partial.error < math.inf
             return
         assert est.evaluations <= budget
 
     def test_first_round_within_budget(self):
-        # the first round of this slice alone samples 151,632 pairs; it must
+        # the first round of this slice alone samples 134,478 pairs; it must
         # not start under a budget of 20,000
         bump = make_standard("smooth_bump", dim=2)
         prof = bump.slicer(0.0, 19 / 32 * math.sqrt(2.0))
@@ -405,7 +528,7 @@ class TestRotationBudget:
     )
 
     def test_slices_share_the_budget(self):
-        # unbudgeted, the 33 slices take 3,523,698 evaluations in all, and no
+        # unbudgeted, the 33 slices take 3,221,874 evaluations in all, and no
         # single slice reaches 500,000
         with pytest.raises(BudgetExceededError) as err:
             nu_measure(LevelSetQuery(**self.QUERY, budget=500_000))
@@ -420,7 +543,7 @@ class TestRotationBudget:
         try:
             est = nu_measure(LevelSetQuery(**self.QUERY, budget=budget))
         except BudgetExceededError as err:
-            assert budget <= 3_523_698
+            assert budget <= 3_221_874
             assert err.partial.evaluations <= budget
             return
         assert est.evaluations <= budget
@@ -452,12 +575,14 @@ class TestInputValidation:
         assert calls == 0
 
 
-def _reference_refine(member, cells, gamma, target, budget_left, min_rounds=2, reached=None):
+def _reference_refine(member, cells, gamma, target, budget_left, top=math.inf, min_rounds=2,
+                      reached=None):
     """``quadrature._refine`` before blocked sampling, one round at a time.
 
     Every round samples and concatenates whole arrays and compacts them
-    after each weight computation.  ``reached`` collects the branches taken,
-    so a test can show that its cases cover them.
+    after each weight computation; the children wholly beyond ``top`` are
+    compacted away before they are counted.  ``reached`` collects the
+    branches taken, so a test can show that its cases cover them.
     """
     reached = set() if reached is None else reached
     x1, x2, h1, h2 = cells
@@ -467,10 +592,11 @@ def _reference_refine(member, cells, gamma, target, budget_left, min_rounds=2, r
     evals = 0
     rounds = 0
     while len(x1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = (x2 - x1) * shell_weight(gamma, h1, h2)
+        w = quadrature._cell_weight(gamma, x1, x2, h1, h2, top)
         if not np.isfinite(w).all():
             raise ValueError("non-finite interior cell weight")
+        if (x2 + h2 > top).any():
+            reached.add("straddle")
         live = w > 0
         if ok is not None and not live.all():
             reached.add("underflow")
@@ -482,7 +608,7 @@ def _reference_refine(member, cells, gamma, target, budget_left, min_rounds=2, r
                 reached.add("budget_first")
                 return inside, unresolved + float(w.sum()), evals, rounds, True
             xs = np.stack([x1, 0.5 * (x1 + x2), x2])
-            hs = np.stack([h1, np.sqrt(h1 * h2), h2])
+            hs = np.stack([h1, quadrature._geometric_mid(h1, h2), h2])
             ok = member(xs[:, None], hs[None, :])
         else:
             ok = ok[:, :, live]
@@ -518,26 +644,32 @@ def _reference_refine(member, cells, gamma, target, budget_left, min_rounds=2, r
             sel = sel[order[:cutoff]]
         if not len(sel):
             break
-        if evals + 36 * len(sel) > budget_left:
-            reached.add("budget_split")
-            return inside, unresolved + float(w[sel].sum()), evals, rounds, True
-        if len(sel) > 2 * quadrature._BLOCK:
-            reached.add("three_blocks")
         mx1, mx2, mh1, mh2 = x1[sel], x2[sel], h1[sel], h2[sel]
         xm = 0.5 * (mx1 + mx2)
-        hm = np.sqrt(mh1 * mh2)
-        xg = np.stack([mx1, 0.5 * (mx1 + xm), xm, 0.5 * (xm + mx2), mx2])
-        hg = np.stack([mh1, np.sqrt(mh1 * hm), hm, np.sqrt(hm * mh2), mh2])
-        g = np.empty((5, 5, len(sel)), dtype=bool)
-        g[::2, ::2] = ok[:, :, sel]
-        g[1::2] = member(xg[1::2, None], hg[None, :])
-        g[::2, 1::2] = member(xg[::2, None], hg[None, 1::2])
+        hm = quadrature._geometric_mid(mh1, mh2)
         x1 = np.concatenate([mx1, xm, mx1, xm])
         x2 = np.concatenate([xm, mx2, xm, mx2])
         h1 = np.concatenate([mh1, mh1, hm, hm])
         h2 = np.concatenate([hm, hm, mh2, mh2])
+        made = x1 + h1 < top
+        if evals + 9 * int(made.sum()) > budget_left:
+            reached.add("budget_split")
+            return inside, unresolved + float(w[sel].sum()), evals, rounds, True
+        if len(sel) > 2 * quadrature._BLOCK:
+            reached.add("three_blocks")
+        xg = np.stack([mx1, 0.5 * (mx1 + xm), xm, 0.5 * (xm + mx2), mx2])
+        hg = np.stack([
+            mh1, quadrature._geometric_mid(mh1, hm), hm, quadrature._geometric_mid(hm, mh2), mh2
+        ])
+        g = np.empty((5, 5, len(sel)), dtype=bool)
+        g[::2, ::2] = ok[:, :, sel]
+        g[1::2] = member(xg[1::2, None], hg[None, :])
+        g[::2, 1::2] = member(xg[::2, None], hg[None, 1::2])
         quarters = ((0, 0), (1, 0), (0, 1), (1, 1))
         ok = np.concatenate([g[2 * a:2 * a + 3, 2 * b:2 * b + 3] for a, b in quarters], axis=2)
+        if not made.all():
+            reached.add("beyond")
+            x1, x2, h1, h2, ok = x1[made], x2[made], h1[made], h2[made], ok[:, :, made]
     return inside, unresolved, evals, rounds, False
 
 
@@ -568,32 +700,40 @@ def _x_stripes(x, h):
 
 
 class TestBlockedRefine:
-    # (member, cells, gamma, target, budget)
+    # (member, cells, gamma, target, budget, edge of the pair domain)
     CASES = {
-        "band": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), 0.5, 1e-7, 10**9),
-        "band_gamma<0": (_band, (0.0, 1.0, 48, 1e-3, 1.0, 16), -0.5, 1e-5, 10**9),
-        "stripes_capped": (_stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), -0.5, 1e-9, 12_000_000),
+        "band": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), 0.5, 1e-7, 10**9, math.inf),
+        "band_gamma<0": (_band, (0.0, 1.0, 48, 1e-3, 1.0, 16), -0.5, 1e-5, 10**9, math.inf),
+        "stripes_capped": (
+            _stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), -0.5, 1e-9, 12_000_000, math.inf
+        ),
         # tiny cells at small h are dropped in the explore rounds, sampled empty or not
-        "x_stripes_drop": (_x_stripes, (0.0, 1.0, 64, 1e-12, 1.0, 40), 1.0, 1e-4, 3_000_000),
-        "stripes_first_round_budget": (_stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), 1.0, 1e-3, 1000),
+        "x_stripes_drop": (
+            _x_stripes, (0.0, 1.0, 64, 1e-12, 1.0, 40), 1.0, 1e-4, 3_000_000, math.inf
+        ),
+        "stripes_first_round_budget": (
+            _stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), 1.0, 1e-3, 1000, math.inf
+        ),
         # h^2 underflows below 1.5e-162: cells die in the first and later rounds
-        "underflow": (_x_stripes, (0.0, 1.0, 16, 1e-165, 1e-130, 12), 2.0, 0.0, 3_000_000),
+        "underflow": (_x_stripes, (0.0, 1.0, 16, 1e-165, 1e-130, 12), 2.0, 0.0, 3_000_000, math.inf),
+        # the domain ends at x + h = 1: cells straddle it, children beyond it are not made
+        "band_edge": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), -0.5, 1e-7, 10**9, 1.0),
     }
 
     @staticmethod
     def _run(case):
-        member, grid, gamma, target, budget = TestBlockedRefine.CASES[case]
+        member, grid, gamma, target, budget, top = TestBlockedRefine.CASES[case]
         cells = _grid_cells(*grid)
         reached = set()
-        expected = _reference_refine(member, cells, gamma, target, budget, reached=reached)
-        return quadrature._refine(member, cells, gamma, target, budget), expected, reached
+        expected = _reference_refine(member, cells, gamma, target, budget, top, reached=reached)
+        return quadrature._refine(member, cells, gamma, target, budget, top), expected, reached
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bit_identical_to_reference(self, case):
         got, expected, _ = self._run(case)
         assert got == expected
 
-    @pytest.mark.parametrize("case", ["band", "underflow"])
+    @pytest.mark.parametrize("case", ["band", "underflow", "band_edge"])
     def test_block_size_does_not_matter(self, case, monkeypatch):
         expected = self._run(case)[1]
         monkeypatch.setattr(quadrature, "_BLOCK", 97)
@@ -605,4 +745,5 @@ class TestBlockedRefine:
             reached |= self._run(case)[2]
         assert reached == {
             "explore", "cap", "three_blocks", "budget_first", "budget_split", "underflow",
+            "straddle", "beyond",
         }

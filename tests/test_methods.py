@@ -29,11 +29,13 @@ class TestRotation:
             assert (a.value, a.error) == (b.value, b.error)
 
     def test_disc_value_pinned(self):
-        # the 8-angle, 65-offset rule this integral replaced gave these numbers
+        # no pair inside a slice is a member: the slices' values are their
+        # plateau interactions, with no near-diagonal remainder
         ball = get("ball_indicator(1)", dim=2)
         est = nu_measure(LevelSetQuery(u=ball, params=P(1.0, dim=2), lam=2.0))
-        assert est.value == pytest.approx(6.221544984276007, rel=1e-12)
-        assert est.error_bound == pytest.approx(0.11265874202762975, rel=1e-6)
+        assert est.value == pytest.approx(6.215976452427306, rel=1e-12)
+        assert est.error_bound == pytest.approx(0.10701524999691919, rel=1e-6)
+        assert est.evaluations == 0
 
     def test_rotation_matches_montecarlo_on_the_disc(self):
         ball = get("ball_indicator(1)", dim=2)
@@ -93,6 +95,17 @@ class TestCrossMethod1D:
         assert math.isfinite(grid.value)
         slack = grid.error_bound + mc.error_bound + 1e-9
         assert abs(grid.value - mc.value) <= slack
+
+    def test_cells_at_the_precision_floor(self):
+        # at gamma=0.01 the near-diagonal cut is clamped to PRECISION_FLOOR:
+        # cells reach h = 1e-250, where the product of two separations
+        # underflows, and their midpoints must not
+        tent = make_standard("tent")
+        q = dict(u=tent, params=P(0.01), lam=0.5)
+        grid = nu_measure(LevelSetQuery(**q))
+        assert grid.diagnostics["near_floor_clamped"]
+        mc = nu_measure(LevelSetQuery(**q, method="montecarlo", seed=3, mc_samples=200_000))
+        assert abs(grid.value - mc.value) <= grid.error_bound + mc.error_bound
 
 
 class TestVerdicts:

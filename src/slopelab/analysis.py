@@ -38,15 +38,13 @@ __all__ = [
 
 
 class InconclusiveError(RuntimeError):
-    """A growth classification stayed ambiguous after widening the probe."""
+    """Lipschitz recovery found the gamma = 0 measure still infinite at lambda = 2^17."""
 
 
 FLAT_SLOPE = 0.05   # a converged sweep's trailing log-log slope stays below this
 SPREAD = 0.03       # ... and so does the relative spread of its trailing values
 GROWTH = 0.50       # a diverging sweep grows by more than this over its trailing half
 TRAILING = 3        # trailing values averaged into a converged sweep's limit
-LIP_DEPTHS = range(4, 15)       # truncation depths k of the zero-exponent probe
-LIP_DEPTHS_WIDE = range(4, 21)  # ... widened once when the growth stays ambiguous
 BV_COUNT = 12                   # grid points of the indicator-limit sweep
 GROWTH_LAMBDA = 0.25            # threshold of the staircase growth sequence
 LAMBDAS_PER_BIN = 4             # series certificate: grid points per lambda bin
@@ -138,8 +136,6 @@ def sweep(
                 limit = float(np.sum(w * tv) / np.sum(w))
             else:
                 classification = "inconclusive"
-    finite = values[np.isfinite(values)]
-    sup_estimate = float(finite.max()) if len(finite) else math.inf
     return Sweep(
         params=params,
         lambdas=lams,
@@ -147,7 +143,7 @@ def sweep(
         errors=errors,
         classification=classification,
         limit_estimate=limit,
-        sup_estimate=sup_estimate,
+        sup_estimate=float(values.max()),
         estimates=estimates,
     )
 
@@ -163,17 +159,11 @@ def weak_norm(
 ) -> float:
     """Lower bound for sup over lambda of lambda^p * measure on a wide grid.
 
-    The grid spans at least eight decades; +inf is returned when any grid
-    point hits the infinite-measure sentinel.
+    This is the ``sup_estimate`` of a sweep, so ``count`` must be at least
+    6, as for every sweep.  The default grid spans eight decades; +inf is
+    returned when any grid point hits the infinite-measure sentinel.
     """
-    lams = geometric_grid(lam_lo, lam_hi, count)
-    best = 0.0
-    for lam in lams:
-        est = nu_measure(LevelSetQuery(u=u, params=params, lam=float(lam), rel_tol=rel_tol))
-        if est.infinite:
-            return math.inf
-        best = max(best, lam ** params.p * est.value)
-    return best
+    return sweep(u, params, geometric_grid(lam_lo, lam_hi, count), rel_tol=rel_tol).sup_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -186,71 +176,59 @@ def truncated_zero_weight_values(
     ks: Sequence[int],
     rel_tol: float = 1e-2,
 ) -> np.ndarray:
-    """nu_0 over the annulus 2^-k <= |x-y| <= 1 for each k."""
-    params = Params(dim=1, p=1.0, gamma=0.0)
-    out = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        est = nu_measure(
-            LevelSetQuery(
-                u=u, params=params, lam=lam, annulus=(2.0 ** (-k), 1.0), rel_tol=rel_tol
-            )
+    """nu_0 over the annulus 2^-k <= |x-y| <= 1 for each k.
+
+    The annuli are nested, so only the first is measured whole; each later
+    one adds the shell 2^-k <= |x-y| <= 2^-k' back to the previous depth k'.
+    The depths must be nonnegative and strictly increasing.
+    """
+    if any(k < 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(
+            f"truncation depths must be nonnegative and strictly increasing, got {list(ks)}"
         )
-        out[i] = est.value
-    return out
+    params = Params(dim=1, p=1.0, gamma=0.0)
+    outer = [1.0] + [2.0 ** (-k) for k in ks[:-1]]
+    shells = [
+        nu_measure(
+            LevelSetQuery(u=u, params=params, lam=lam, annulus=(2.0 ** (-k), r), rel_tol=rel_tol)
+        ).value
+        for k, r in zip(ks, outer)
+    ]
+    return np.cumsum(shells)
 
 
-def growth_classification(ks: Sequence[int], values: np.ndarray) -> str:
-    """'infinite' for linear-in-k growth, 'finite' for saturation at ~0."""
-    ks = np.asarray(ks, dtype=float)
-    slope = float(np.polyfit(ks, values, 1)[0])
-    mean = float(np.mean(values))
-    if mean <= 0:
-        return "finite"
-    slope_rel = slope * float(np.mean(ks)) / mean
-    if slope_rel > 0.1:
-        return "infinite"
-    if values[-1] < max(1e-3, 1e-9 * mean):
-        return "finite"
-    return "ambiguous"
-
-
-def estimate_lipschitz(
-    u: TestFunction,
-    *,
-    iterations: int = 10,
-    rel_tol: float = 1e-2,
-) -> float:
+def estimate_lipschitz(u: TestFunction, *, iterations: int = 10) -> float:
     """Recover the Lipschitz seminorm from the zero-exponent dichotomy.
 
-    The truncated measure grows linearly in k = log2(1/delta) below the
-    Lipschitz constant and saturates at (essentially) zero above it;
-    bisection on lambda brackets the transition.
+    nu_0 of the level set is infinite below the Lipschitz constant and finite
+    above it.  The engine decides which, and bisection on lambda brackets
+    the transition.  A jump keeps the measure finite at every lambda, so
+    entries with jumps are rejected.
     """
-    def classify(lam: float) -> str:
-        ks = list(LIP_DEPTHS)
-        vals = truncated_zero_weight_values(u, lam, ks, rel_tol=rel_tol)
-        verdict = growth_classification(ks, vals)
-        if verdict == "ambiguous":
-            ks = list(LIP_DEPTHS_WIDE)
-            vals = truncated_zero_weight_values(u, lam, ks, rel_tol=rel_tol)
-            verdict = growth_classification(ks, vals)
-            if verdict == "ambiguous":
-                raise InconclusiveError(
-                    f"growth in the truncation depth stayed ambiguous at lambda={lam:g}; "
-                    f"values {vals.tolist()}"
-                )
-        return verdict
+    if u.jumps:
+        where = ", ".join(f"{loc:g}" for loc, _ in u.jumps)
+        raise ValueError(
+            f"{u.id} jumps at x = {where}: its gamma=0 measure is finite at every lambda, "
+            "so it does not recover a Lipschitz constant"
+        )
+    params = Params(dim=1, p=1.0, gamma=0.0)
+
+    def infinite(lam: float) -> bool:
+        return nu_measure(LevelSetQuery(u=u, params=params, lam=lam)).infinite
 
     hi = 1.0
     lo = 1.0
-    if classify(1.0) == "infinite":
-        while classify(hi * 2.0) == "infinite":
+    if infinite(1.0):
+        while infinite(hi * 2.0):
             hi *= 2.0
             if hi > 2.0**16:
-                raise InconclusiveError("no finite-measure threshold found below 2^16")
+                raise InconclusiveError(
+                    f"the measure is still infinite at lambda={hi:g}: "
+                    "no finite-measure threshold found"
+                )
         lo, hi = hi, hi * 2.0
     else:
-        while classify(lo / 2.0) == "finite":
+        while not infinite(lo / 2.0):
             lo /= 2.0
             if lo < 2.0**-16:
                 return 0.0
@@ -258,7 +236,7 @@ def estimate_lipschitz(
 
     for _ in range(iterations):
         mid = math.sqrt(lo * hi)
-        if classify(mid) == "infinite":
+        if infinite(mid):
             lo = mid
         else:
             hi = mid

@@ -26,6 +26,8 @@ __all__ = [
     "mollified_indicator",
     "get",
     "dilate",
+    "negate",
+    "reflect",
     "smoothstep",
     "smoothstep_deriv",
     "STANDARD_IDS",

@@ -29,7 +29,10 @@ Carlo backend uses the same rule.  The engine asks it three times: for the
 interior jumps, for the jumps at the support edges, and for declared
 interface points.  Regimes where the near-diagonal mass genuinely diverges
 are either detected outright or confirmed by a truncation-halving probe,
-which decides on the mass each halving of its lower edge adds.
+which decides on the mass each halving of its lower edge adds.  At gamma = 0
+these verdicts are the ones ``analysis.estimate_lipschitz`` bisects on: the
+rule for lambda at or above the declared Lipschitz constant, the probe below
+it.
 """
 
 from __future__ import annotations

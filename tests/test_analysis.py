@@ -85,6 +85,12 @@ class TestSweep:
         s = sweep(tent, P(1.0), geometric_grid(1.0, 2.0**-10, 6))
         assert s.values[-1] < 0.05 * max(s.values[0], 1e-30)
 
+    def test_sup_estimate_keeps_infinite_points(self):
+        tent = make_standard("tent")
+        s = sweep(tent, P(0.0), geometric_grid(0.5, 2.0, 6))
+        assert np.isinf(s.values[:3]).all() and np.all(s.values[3:] == 0.0)
+        assert s.sup_estimate == math.inf
+
     def test_measure_monotone_along_grid(self):
         tent = make_standard("tent")
         s = sweep(tent, P(-2.0, p=2.0), geometric_grid(1.0, 2.0**-6, 8))
@@ -114,6 +120,57 @@ class TestLipschitzRecovery:
         ramp = make_standard("linear_ramp(3)")
         assert estimate_lipschitz(ramp) == pytest.approx(3.0, rel=0.10)
 
+    @pytest.mark.parametrize(
+        "fid,iterations,expected",
+        [
+            ("linear_ramp(3)", 10, 3.0010122724324346),
+            ("linear_ramp(3)", 3, 2.953652291878999),
+            ("smooth_bump", 10, 0.7984605136406973),
+            ("mollified_indicator(2)", 10, 7.9972928519699495),
+            ("mollified_indicator(3)", 10, 15.994585703939899),
+        ],
+    )
+    def test_bisection_on_the_engine_verdict(self, fid, iterations, expected):
+        assert estimate_lipschitz(make_standard(fid), iterations=iterations) == expected
+
+    def test_tent_brackets_from_below(self):
+        # every lambda below the declared constant 1 reads infinite
+        assert 0.999 <= estimate_lipschitz(make_standard("tent")) <= 1.0
+
+    @pytest.mark.parametrize("fid", ["interval_indicator(1)", "halfline_step"])
+    def test_jumps_are_rejected(self, fid):
+        with pytest.raises(ValueError, match="jumps at x"):
+            estimate_lipschitz(make_standard(fid))
+
+    def test_no_threshold_below_the_cap(self):
+        with pytest.raises(InconclusiveError):
+            estimate_lipschitz(make_standard("linear_ramp(1000000)"))
+
+
+class TestTruncation:
+    @pytest.mark.parametrize(
+        "fid,lam", [("tent", 0.5), ("smooth_bump", 0.5), ("linear_ramp(3)", 2.0)]
+    )
+    def test_shells_add_up_to_the_nested_annuli(self, fid, lam):
+        from slopelab.measure import LevelSetQuery, nu_measure
+
+        u = make_standard(fid)
+        ks = list(range(4, 15))
+        vals = analysis.truncated_zero_weight_values(u, lam, ks)
+        direct = np.array([
+            nu_measure(
+                LevelSetQuery(u=u, params=P(0.0), lam=lam, annulus=(2.0**-k, 1.0), rel_tol=1e-2)
+            ).value
+            for k in ks
+        ])
+        assert vals[0] == direct[0]
+        assert np.all(np.abs(vals - direct) <= 2e-3 * direct)
+
+    @pytest.mark.parametrize("ks", [[4, 4], [6, 5], [-1, 2]])
+    def test_depths_must_increase_from_zero(self, ks):
+        with pytest.raises(ValueError):
+            analysis.truncated_zero_weight_values(make_standard("tent"), 0.5, ks)
+
 
 class TestWeakNorm:
     def test_step_is_exactly_flat(self):
@@ -123,6 +180,21 @@ class TestWeakNorm:
 
     def test_constant_gives_zero(self):
         assert weak_norm(CONST, P(1.0), count=9) == 0.0
+
+    def test_needs_six_grid_points(self):
+        with pytest.raises(ValueError):
+            weak_norm(CONST, P(1.0), count=5)
+
+    @pytest.mark.parametrize("fid,gamma,p", [("tent", 1.0, 2.0), ("smooth_bump", -2.0, 1.0)])
+    def test_is_the_sweeps_supremum(self, fid, gamma, p):
+        u = make_standard(fid)
+        grid = geometric_grid(2.0**-14, 2.0**14, 9)
+        swept = sweep(u, P(gamma, p=p), grid, rel_tol=1e-2).sup_estimate
+        assert weak_norm(u, P(gamma, p=p), count=9, rel_tol=1e-2) == swept
+
+    def test_infinite_at_gamma_zero(self):
+        tent = make_standard("tent")
+        assert weak_norm(tent, P(0.0), lam_lo=0.5, lam_hi=2.0, count=6) == math.inf
 
     def test_gate_bounds_for_smooth_entries(self):
         tent = make_standard("tent")

@@ -135,6 +135,12 @@ class TestExitCodes:
         code, _, _ = run(tmp_path, "level", argv)
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("fid", ["interval_indicator(1)", "halfline_step"])
+    def test_lipschitz_of_a_function_with_jumps_is_config_error(self, tmp_path, capsys, fid):
+        code, _, _ = run(tmp_path, "lip", ["lipschitz", "--fn", fid])
+        assert code == EXIT_BAD_CONFIG
+        assert "jumps at x = 0" in capsys.readouterr().err
+
     def test_infinite_where_finite_required(self, tmp_path):
         code, _, _ = run(
             tmp_path,

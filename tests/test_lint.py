@@ -8,6 +8,16 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "slopelab"
 
 
+def exported(tree: ast.Module) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads; names in ``__all__`` count as read."""
     tree = ast.parse(source)
@@ -19,13 +29,42 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and constants that no module reads.
+
+    A name counts as read when any of the sources loads it, reads it as an
+    attribute, imports it by name, or lists it in its own module's ``__all__``.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        public = exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead.extend(
+                f"{module}.{name}" for name in names
+                if name != "__all__" and name not in read and name not in public
+            )
+    return dead
 
 
 def test_the_check_sees_unused_and_exported_names():
@@ -37,3 +76,19 @@ def test_the_check_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_dead_definitions():
+    sources = {
+        "a": "__all__ = ['api']\nLIMIT = 3\nSPARE = 4\ndef api(): return helper()\n"
+        "def helper(): return LIMIT\ndef orphan(): pass\nclass Ghost: pass\n",
+        "b": "from .a import orphan\nimport a\nprint(a.SPARE)\n",
+    }
+    assert dead_definitions(sources) == ["a.Ghost"]
+    del sources["b"]
+    assert dead_definitions(sources) == ["a.SPARE", "a.orphan", "a.Ghost"]
+
+
+def test_no_dead_definitions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_definitions(sources) == []

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from .constants import sphere_area
 from .profiles import LineProfile
 
 __all__ = [
@@ -101,7 +102,9 @@ class TestFunction:
     for indicator-type entries; ``grad_bv`` is the total-variation mass and is
     defined for both (they coincide on W^{1,1}).  ``grad_lp`` maps p to the
     L^p norm of the gradient where finite.  ``kinks`` lists points where the
-    gradient is undefined so derivative checks can avoid them.
+    gradient is undefined so derivative checks can avoid them.  The smooth
+    radial entries (``smooth_bump``, ``mollified_indicator``) are built by one
+    constructor, ``_radial``, from their profile and its radial derivative.
     """
 
     id: str
@@ -195,122 +198,109 @@ def _make_tent(scale: float = 1.0, ident: str = "tent") -> TestFunction:
     )
 
 
-def _bump_eval_1d(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-    return out
+def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> TestFunction:
+    """The smooth radial entry u(x) = profile(|x|^2) on R^dim.
+
+    u is nonincreasing in |x|, equal to ``sup`` on |x| <= flat_to and 0 from
+    ``radius`` on; the profile itself gives that 0, at every squared radius.
+    ``deriv(r)`` is du/d|x| inside the ball.  The profile takes the squared
+    radius, so an entry that needs no square root takes none.  From these
+    come the gradient deriv(|x|) x/|x|, the line breakpoints, the chord
+    slices of the plane and the gradient norms, radial integrals with weight
+    r^(dim-1) over the collar [flat_to, radius].
+    """
+    if dim not in (1, 2):
+        raise ValueError(f"{ident} supports dim 1 or 2, got {dim}")
+    dim = int(dim)
+    area = sphere_area(dim)
+
+    def points(x):
+        """(points, squared norms): a line takes any shape, the plane rows of (x, y)."""
+        x = np.asarray(x, dtype=float)
+        if dim == 1:
+            return x, x * x
+        x = np.atleast_2d(x)
+        return x, x[:, 0] ** 2 + x[:, 1] ** 2
+
+    def ev(x):
+        return profile(points(x)[1])
+
+    def gr(x):
+        x, r2 = points(x)
+        r = np.sqrt(r2)
+        out = np.zeros_like(x)
+        out[np.isnan(r)] = np.nan
+        inside = (r > 0.0) & (r < radius)
+        ri = r[inside]
+        # transposed, the points come last: one broadcast serves the line and the plane
+        out[inside] = (deriv(ri) * (x[inside].T / ri)).T
+        return out
+
+    @lru_cache(maxsize=None)
+    def grad_lp(p):
+        val, _ = quad(
+            lambda r: abs(float(deriv(r))) ** p * r ** (dim - 1), flat_to, radius, limit=200
+        )
+        return float((area * val) ** (1.0 / p))
+
+    def slicer(theta, offset):
+        if abs(offset) >= radius:
+            return None
+        o2 = offset * offset
+        w = math.sqrt(radius * radius - o2)
+
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return profile(o2 + t * t)
+
+        return LineProfile(
+            f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=lip,
+            sup=float(f(0.0)), breakpoints=(-w, 0.0, w),
+        )
+
+    grad_l1 = 2.0 * sup if dim == 1 else grad_lp(1.0)  # a monotone line profile: TV = 2 sup
+    # 0.0 - flat_to is +0.0 when there is no plateau
+    line_breakpoints = tuple(sorted({-radius, 0.0 - flat_to, 0.0, flat_to, radius}))
+    return TestFunction(
+        id=ident,
+        dim=dim,
+        eval=ev,
+        grad=gr,
+        support=((-radius, radius),) * dim,
+        compact_support=True,
+        sup_norm=sup,
+        grad_l1=grad_l1,
+        grad_bv=grad_l1,
+        grad_lp=grad_lp,
+        lip=lip,
+        breakpoints=line_breakpoints if dim == 1 else (),
+        slicer=slicer if dim == 2 else None,
+    )
 
 
-def _bump_grad_1d(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    d = 1.0 - xi * xi
-    out[inside] = -2.0 * xi / d**2 * np.exp(-1.0 / d)
-    return out
+def _bump_profile(r2):
+    # exp(-1/(1 - r2)) inside the unit ball; the floor sends r2 >= 1 to exp(-1e300) = 0
+    return np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300))
 
 
-@lru_cache(maxsize=None)
-def _bump_grad_lp(p: float) -> float:
-    val, _ = quad(lambda t: np.abs(_bump_grad_1d(np.array([t]))[0]) ** p, -1.0, 1.0, limit=200)
-    return float(val ** (1.0 / p))
+def _bump_deriv(r):
+    d = 1.0 - r * r
+    return -2.0 * r / d**2 * np.exp(-1.0 / d)
 
 
 @lru_cache(maxsize=None)
 def _bump_lip() -> float:
     res = minimize_scalar(
-        lambda t: -abs(float(_bump_grad_1d(np.array([t]))[0])), bounds=(0.0, 1.0), method="bounded"
+        lambda t: -abs(float(_bump_deriv(np.array([t]))[0])), bounds=(0.0, 1.0), method="bounded"
     )
     return float(-res.fun)
 
 
 def _make_smooth_bump(dim: int) -> TestFunction:
-    if dim == 1:
-        return TestFunction(
-            id="smooth_bump",
-            dim=1,
-            eval=_bump_eval_1d,
-            grad=_bump_grad_1d,
-            support=((-1.0, 1.0),),
-            compact_support=True,
-            sup_norm=math.exp(-1.0),
-            grad_l1=2.0 * math.exp(-1.0),  # monotone on each side: TV = 2 max
-            grad_bv=2.0 * math.exp(-1.0),
-            grad_lp=_bump_grad_lp,
-            lip=_bump_lip(),
-            kinks=(),
-            breakpoints=(-1.0, 0.0, 1.0),
-        )
-    if dim == 2:
-
-        def ev(xy):
-            xy = np.atleast_2d(np.asarray(xy, dtype=float))
-            r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
-            out = np.zeros(len(xy))
-            inside = r2 < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-            return out
-
-        def gr(xy):
-            xy = np.atleast_2d(np.asarray(xy, dtype=float))
-            r2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
-            out = np.zeros_like(xy)
-            inside = r2 < 1.0
-            d = 1.0 - r2[inside]
-            factor = -2.0 / d**2 * np.exp(-1.0 / d)
-            out[inside] = xy[inside] * factor[:, None]
-            return out
-
-        lip = _bump_lip()  # the profile is the line bump of r
-
-        def slicer(theta, offset):
-            if abs(offset) >= 1.0:
-                return None
-            w = math.sqrt(1.0 - offset * offset)
-            o2 = offset * offset
-
-            def f(t):
-                t = np.asarray(t, dtype=float)
-                r2 = o2 + t * t
-                out = np.zeros_like(t)
-                inside = r2 < 1.0
-                out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-                return out
-
-            return LineProfile(
-                f=f, lo=-w, hi=w, left=0.0, right=0.0,
-                lipschitz=lip, sup=math.exp(-1.0 / (1.0 - o2)),
-                breakpoints=(-w, 0.0, w),
-            )
-
-        return TestFunction(
-            id="smooth_bump",
-            dim=2,
-            eval=ev,
-            grad=gr,
-            support=((-1.0, 1.0), (-1.0, 1.0)),
-            compact_support=True,
-            sup_norm=math.exp(-1.0),
-            grad_l1=_bump2d_grad_lp(1.0),
-            grad_bv=_bump2d_grad_lp(1.0),
-            grad_lp=_bump2d_grad_lp,
-            lip=lip,
-            slicer=slicer,
-        )
-    raise ValueError(f"smooth_bump supports dim 1 or 2, got {dim}")
-
-
-@lru_cache(maxsize=None)
-def _bump2d_grad_lp(p: float) -> float:
-    val, _ = quad(  # the 2D profile is the line bump of r
-        lambda r: abs(_bump_grad_1d(np.array([r]))[0]) ** p * 2.0 * math.pi * r,
-        0.0, 1.0, limit=200,
+    return _radial(
+        "smooth_bump", dim, _bump_profile, _bump_deriv, 1.0,
+        sup=math.exp(-1.0), lip=_bump_lip(),
     )
-    return float(val ** (1.0 / p))
 
 
 def _make_halfline_step() -> TestFunction:
@@ -337,8 +327,8 @@ def _make_halfline_step() -> TestFunction:
 
 
 def _make_interval_indicator(length: float) -> TestFunction:
-    if not length > 0:
-        raise ValueError(f"interval length must be positive, got {length}")
+    if not 0 < length < math.inf:
+        raise ValueError(f"interval length must be finite and positive, got {length}")
 
     def ev(x):
         x = np.asarray(x, dtype=float)
@@ -361,8 +351,8 @@ def _make_interval_indicator(length: float) -> TestFunction:
 
 
 def _make_ball_indicator(radius: float, dim: int) -> TestFunction:
-    if not radius > 0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"ball radius must be finite and positive, got {radius}")
     if dim == 1:
         tf = _make_interval_indicator(2 * radius)
         shifted = shift(tf, -radius)
@@ -417,86 +407,13 @@ def mollified_indicator(m: int, dim: int = 1) -> TestFunction:
     eps = 2.0 ** (-m)
     width = 2.0 * eps
     outer = 1.0 + eps
-    lip = 2.0 * _SMOOTHSTEP_PEAK / width
-
-    def radial(r):
+    return _radial(
+        f"mollified_indicator({m})", dim,
         # 2 * smoothstep((outer - r) / width): 2 inside, 0 outside the collar
-        return 2.0 * smoothstep((outer - np.asarray(r, dtype=float)) / width)
-
-    def radial_deriv(r):
-        return -2.0 * smoothstep_deriv((outer - np.asarray(r, dtype=float)) / width) / width
-
-    if dim == 1:
-
-        def ev(x):
-            return radial(np.abs(np.asarray(x, dtype=float)))
-
-        def gr(x):
-            x = np.asarray(x, dtype=float)
-            return radial_deriv(np.abs(x)) * np.sign(x)
-
-        def glp(p):
-            val, _ = quad(lambda r: abs(float(radial_deriv(r))) ** p, 1.0 - eps, outer, limit=200)
-            return float((2.0 * val) ** (1.0 / p))
-
-        return TestFunction(
-            id=f"mollified_indicator({m})",
-            dim=1,
-            eval=ev,
-            grad=gr,
-            support=((-outer, outer),),
-            compact_support=True,
-            sup_norm=2.0,
-            grad_l1=4.0,  # up 0->2 and down 2->0
-            grad_bv=4.0,
-            grad_lp=glp,
-            lip=lip,
-            kinks=(),
-            breakpoints=(-outer, -(1.0 - eps), 0.0, 1.0 - eps, outer),
-        )
-    if dim == 2:
-
-        def ev2(xy):
-            xy = np.atleast_2d(np.asarray(xy, dtype=float))
-            return radial(np.hypot(xy[:, 0], xy[:, 1]))
-
-        def gr2(xy):
-            xy = np.atleast_2d(np.asarray(xy, dtype=float))
-            r = np.hypot(xy[:, 0], xy[:, 1])
-            mag = radial_deriv(r)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                unit = np.where(r[:, None] > 0, xy / np.maximum(r, 1e-300)[:, None], 0.0)
-            return mag[:, None] * unit
-
-        def slicer(theta, offset):
-            if abs(offset) >= outer:
-                return None
-            w = math.sqrt(outer * outer - offset * offset)
-
-            def f(t):
-                t = np.asarray(t, dtype=float)
-                return radial(np.hypot(offset, t))
-
-            return LineProfile(
-                f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=lip,
-                sup=float(radial(abs(offset))), breakpoints=(-w, 0.0, w),
-            )
-
-        g1, _ = quad(lambda r: abs(float(radial_deriv(r))) * 2 * math.pi * r, 1.0 - eps, outer)
-        return TestFunction(
-            id=f"mollified_indicator({m})",
-            dim=2,
-            eval=ev2,
-            grad=gr2,
-            support=((-outer, outer), (-outer, outer)),
-            compact_support=True,
-            sup_norm=2.0,
-            grad_l1=float(g1),
-            grad_bv=float(g1),
-            lip=lip,
-            slicer=slicer,
-        )
-    raise ValueError(f"mollified_indicator supports dim 1 or 2, got {dim}")
+        lambda r2: 2.0 * smoothstep((outer - np.sqrt(r2)) / width),
+        lambda r: -2.0 * smoothstep_deriv((outer - r) / width) / width,
+        outer, sup=2.0, lip=2.0 * _SMOOTHSTEP_PEAK / width, flat_to=1.0 - eps,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +546,8 @@ def make_standard(ident: str, dim: int = 1) -> TestFunction:
         return _make_interval_indicator(1.0 if arg is None else arg)
     if name == "linear_ramp":
         c = 1.0 if arg is None else arg
+        if not 0 < c < math.inf:
+            raise ValueError(f"linear_ramp slope must be finite and positive, got {c}")
         return _make_tent(scale=c, ident=f"linear_ramp({c:g})")
     if name == "ball_indicator":
         return _make_ball_indicator(1.0 if arg is None else arg, dim)

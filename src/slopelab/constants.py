@@ -18,9 +18,7 @@ __all__ = [
 ]
 
 
-def _check_regime(p: float, dim: int) -> None:
-    if not p >= 1:
-        raise ValueError(f"integrability exponent must satisfy p >= 1, got {p}")
+def _check_dim(dim: int) -> None:
     if not (isinstance(dim, (int,)) or float(dim).is_integer()) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim}")
 
@@ -32,7 +30,9 @@ def kappa(p: float, dim: int) -> float:
     For dim == 1 the sphere is the two-point set {-1, +1}, so the value is
     exactly 2 for every p.
     """
-    _check_regime(p, dim)
+    if not p >= 1:
+        raise ValueError(f"integrability exponent must satisfy p >= 1, got {p}")
+    _check_dim(dim)
     if dim == 1:
         return 2.0
     log_val = (
@@ -51,8 +51,7 @@ def sphere_area(dim: int) -> float:
     ``sphere_area(1) == 2``; this is what makes the one-dimensional rotation
     method and kappa(p, 1) == 2 consistent.
     """
-    if not (isinstance(dim, (int,)) or float(dim).is_integer()) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
+    _check_dim(dim)
     if dim == 1:
         return 2.0
     return float(math.exp(math.log(2.0) + 0.5 * dim * math.log(math.pi) - gammaln(dim / 2.0)))

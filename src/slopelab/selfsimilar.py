@@ -35,14 +35,11 @@ def box_measure(
     lam: float,
     m: int,
     rel_tol: float = 5e-3,
-    budget: int = 40_000_000,
 ) -> EngineEstimate:
     """A(m, lam): measure of the staircase superlevel set inside [0,1]^2."""
     spec = CantorSpec(gamma=gamma, m=m)
     prof = staircase_function(spec).line_profile()
-    return measure_line(
-        prof, gamma, gamma / p, lam, pair_box=(0.0, 1.0), rel_tol=rel_tol, budget=budget
-    )
+    return measure_line(prof, gamma, gamma / p, lam, pair_box=(0.0, 1.0), rel_tol=rel_tol)
 
 
 def cross_term(
@@ -51,7 +48,6 @@ def cross_term(
     lam: float,
     m: int,
     rel_tol: float = 5e-3,
-    budget: int = 40_000_000,
 ) -> EngineEstimate:
     """X(m, lam): the box measure outside the two corner squares.
 
@@ -77,7 +73,6 @@ def cross_term(
         region=region,
         interface_points=2,
         rel_tol=rel_tol,
-        budget=budget,
     )
 
 
@@ -87,7 +82,6 @@ def box_measure_ladder(
     m: int,
     m0: int = DIRECT_UP_TO,
     rel_tol: float = 5e-3,
-    budget: int = 40_000_000,
 ) -> EngineEstimate:
     """A(m, lam) for p = 1 via the exact recursion A(j) = A(j-1) + X(j).
 
@@ -98,10 +92,10 @@ def box_measure_ladder(
     bounds total 19.
     """
     if m <= m0:
-        est = box_measure(gamma, 1.0, lam, m, rel_tol=rel_tol, budget=budget)
+        est = box_measure(gamma, 1.0, lam, m, rel_tol=rel_tol)
         return EngineEstimate(est.value, est.error, est.evaluations, diagnostics={"direct": True})
 
-    base = box_measure(gamma, 1.0, lam, m0, rel_tol=rel_tol, budget=budget)
+    base = box_measure(gamma, 1.0, lam, m0, rel_tol=rel_tol)
     value = base.value
     error = base.error
     evals = base.evaluations
@@ -109,7 +103,7 @@ def box_measure_ladder(
     j_top = min(m, m0 + LADDER_STABLE_AFTER)
     xs = []
     for j in range(m0 + 1, j_top + 1):
-        est = cross_term(gamma, 1.0, lam, j, rel_tol=rel_tol, budget=budget)
+        est = cross_term(gamma, 1.0, lam, j, rel_tol=rel_tol)
         xs.append(est)
         value += est.value
         error += est.error

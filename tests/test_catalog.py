@@ -135,6 +135,97 @@ class TestSmoothBump:
         bump = make_standard("smooth_bump")
         assert np.all(bump.eval(np.array([-2.0, 1.0, 3.0])) == 0.0)
 
+    def test_values_pinned(self):
+        # the line engine's input: exp(-1/(1 - x*x)) inside, bit for bit
+        xs = np.array([-0.95, -0.6, -0.1, 0.0, 0.3, 0.75, 0.999])
+        expected = [
+            "0x1.26b47ba956b59p-15",
+            "0x1.ad48bc25771c7p-3",
+            "0x1.74ec2d2b686dbp-2",
+            "0x1.78b56362cef38p-2",
+            "0x1.553c19b0cd6ccp-2",
+            "0x1.a091a39e7818ap-4",
+            "0x1.395946d501e87p-722",
+        ]
+        assert [float(v).hex() for v in make_standard("smooth_bump").eval(xs)] == expected
+
+    def test_slice_pinned(self):
+        # the rotation engine's input: the chord at offset 1/2 and its sup
+        prof = get("smooth_bump", dim=2).slicer(0.0, 0.5)
+        ts = np.array([-0.85, -0.5, -0.2, 0.0, 0.4, 0.8])
+        expected = [
+            "0x1.73cb6d5316128p-53",
+            "0x1.152aaa3bf81ccp-3",
+            "0x1.f4c7dbfedc4dep-3",
+            "0x1.0dec687e1adf1p-2",
+            "0x1.780b07cc9a167p-3",
+            "0x1.d8a3388343d19p-14",
+        ]
+        assert [float(v).hex() for v in prof.f(ts)] == expected
+        assert prof.sup.hex() == "0x1.0dec687e1adf1p-2"
+        w = math.sqrt(0.75)
+        assert (prof.lo, prof.hi, prof.breakpoints) == (-w, w, (-w, 0.0, w))
+
+
+class TestRadialPlane:
+    """The plane branch of the smooth radial entries against Cartesian oracles."""
+
+    ENTRIES = ["smooth_bump", "mollified_indicator(3)"]
+
+    @pytest.mark.parametrize("fid", ENTRIES)
+    def test_gradient_matches_finite_differences(self, fid):
+        u = get(fid, dim=2)
+        radius = u.support[0][1]
+        xy = radius * RNG.uniform(-1.1, 1.1, size=(400, 2))
+        h = 1e-6
+        fd = np.stack(
+            [(u.eval(xy + h * e) - u.eval(xy - h * e)) / (2.0 * h) for e in np.eye(2)], axis=1
+        )
+        assert np.max(np.abs(u.grad(xy) - fd)) < 1e-6 * u.lip
+        assert u.grad(np.array([[0.0, 0.0], [radius, 0.0], [0.0, -2.0]])).tolist() == [[0.0, 0.0]] * 3
+
+    @pytest.mark.parametrize("fid", ENTRIES)
+    def test_gradient_norms_against_cartesian_quadrature(self, fid):
+        u = get(fid, dim=2)
+        radius = u.support[0][1]
+        n = 600
+        h = 2.0 * radius / n
+        c = -radius + h * (np.arange(n) + 0.5)  # midpoints; the integrand is smooth and 0 at the edge
+        xy = np.stack(np.meshgrid(c, c), axis=-1).reshape(-1, 2)
+        g = np.hypot(*u.grad(xy).T)
+        for p in (1.0, 2.0):
+            cartesian = (np.sum(g**p) * h * h) ** (1.0 / p)
+            assert u.grad_lp(p) == pytest.approx(cartesian, rel=1e-7)
+        assert u.grad_l1 == u.grad_bv == u.grad_lp(1.0)
+
+    @pytest.mark.parametrize("fid", ENTRIES)
+    def test_slice_is_the_function_on_its_chord(self, fid):
+        u = get(fid, dim=2)
+        radius = u.support[0][1]
+        for s in (0.0, 0.3, -0.55, 0.9, 0.999):
+            prof = u.slicer(0.0, s)
+            ts = np.linspace(prof.lo, prof.hi, 101)
+            on_chord = u.eval(np.stack([np.full_like(ts, s), ts], axis=1))
+            assert np.array_equal(prof.f(ts), on_chord)
+            assert prof.sup == prof.f(np.array([0.0]))[0] == u.eval(np.array([[s, 0.0]]))[0]
+            assert prof.lipschitz == u.lip
+        assert u.slicer(0.0, radius) is None
+        assert u.slicer(0.0, -1.5 * radius) is None
+
+    def test_slice_sup_is_its_peak_at_the_rotation_offsets(self):
+        # the sup is the chord's own value at t = 0; math.exp read 1 ulp above
+        # numpy's at s = sqrt(2) * 19 / 32
+        u = get("smooth_bump", dim=2)
+        for s in np.linspace(0.0, 2.0**0.5, 33):
+            prof = u.slicer(0.0, float(s))
+            if prof is not None:
+                assert prof.sup == np.max(prof.f(np.linspace(prof.lo, prof.hi, 2001)))
+
+    @pytest.mark.parametrize("fid", ENTRIES + ["ball_indicator(1)"])
+    def test_three_dimensions_are_rejected(self, fid):
+        with pytest.raises(ValueError, match="supports dim 1 or 2, got 3"):
+            get(fid, dim=3)
+
 
 class TestIndicatorsAndRamps:
     def test_interval_indicator(self):
@@ -168,11 +259,31 @@ class TestIndicatorsAndRamps:
         with pytest.raises(KeyError):
             make_standard("sawtooth")
 
+    @pytest.mark.parametrize(
+        "fid,dim",
+        [
+            ("linear_ramp(-1)", 1),
+            ("linear_ramp(0)", 1),
+            ("linear_ramp(nan)", 1),
+            ("linear_ramp(inf)", 1),
+            ("interval_indicator(inf)", 1),
+            ("interval_indicator(nan)", 1),
+            ("ball_indicator(inf)", 1),
+            ("ball_indicator(inf)", 2),
+        ],
+    )
+    def test_rejects_parameters_out_of_range(self, fid, dim):
+        # a negative ramp declared lip = -1 and sup = -0.5; an infinite interval
+        # sent NaN into the engine's output
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            make_standard(fid, dim=dim)
+
     def test_one_registry(self):
         assert get is make_standard
         assert make_standard("mollified_indicator(4)").id == mollified_indicator(4).id
         assert make_standard("mollified_indicator").id == "mollified_indicator(3)"
         assert make_standard("mollified_indicator(2)", dim=2).dim == 2
+        assert make_standard("smooth_bump", dim=2.0).dim == 2
 
 
 class TestMollifiedIndicator:
@@ -218,6 +329,22 @@ class TestMollifiedIndicator:
         # the level is validated, not truncated: 2.5 used to give level 2
         with pytest.raises(ValueError, match=rf"positive integer, got {level}"):
             make_standard(f"mollified_indicator({level})")
+
+    def test_values_pinned(self):
+        # the line engine's input across the collar [15/16, 17/16], bit for bit
+        xs = np.array([-1.05, -0.95, 0.0, 0.94, 0.97, 1.0, 1.03, 1.06])
+        expected = [
+            "0x1.212f2a770ab77p-12",
+            "0x1.ffeded0d588f5p+0",
+            "0x1.0000000000000p+1",
+            "0x1.0000000000000p+1",
+            "0x1.d8f940d4d34aap+0",
+            "0x1.0000000000000p+0",
+            "0x1.3835f95965aaep-3",
+            "0x1.437271fc1b536p-70",
+        ]
+        assert [float(v).hex() for v in mollified_indicator(4).eval(xs)] == expected
+        assert mollified_indicator(4).breakpoints == (-1.0625, -0.9375, 0.0, 0.9375, 1.0625)
 
     def test_registry_accepts_integral_float_levels(self):
         u = make_standard("mollified_indicator(4.0)")

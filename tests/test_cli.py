@@ -135,6 +135,16 @@ class TestExitCodes:
         code, _, _ = run(tmp_path, "level", argv)
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize(
+        "fid", ["linear_ramp(-1)", "interval_indicator(inf)", "ball_indicator(inf)"]
+    )
+    def test_out_of_range_catalog_parameter_is_config_error(self, tmp_path, capsys, fid):
+        # interval_indicator(inf) used to end in an AssertionError (exit 1)
+        argv = ["measure", "--fn", fid, "--gamma", "0", "--lambda", "0.25"]
+        code, _, _ = run(tmp_path, "param", argv)
+        assert code == EXIT_BAD_CONFIG
+        assert "must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fid", ["interval_indicator(1)", "halfline_step"])
     def test_lipschitz_of_a_function_with_jumps_is_config_error(self, tmp_path, capsys, fid):
         code, _, _ = run(tmp_path, "lip", ["lipschitz", "--fn", fid])

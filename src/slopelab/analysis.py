@@ -306,15 +306,11 @@ def cantor_growth(
     rel_tol: float = 5e-3,
 ) -> GrowthSequence:
     """Box-restricted staircase measures A(m, lam) with their witness floors,
-    at lam = ``GROWTH_LAMBDA``.
+    at lam = ``GROWTH_LAMBDA``, read from ``selfsimilar.box_measure_ladder``.
 
-    For p > 1 every generation is a direct box measure, which can read low:
-    at gamma=-0.2, p=2 it misses the corner identity A(1, lam) =
-    A(0, s lam) + X(1, lam) by 148, where the bounds total 19.  For
-    p = 1 the generations up to ``selfsimilar.DIRECT_UP_TO`` are direct,
-    and deeper ones extend the exact recursion A(j) = A(j-1) + X(j) from the
-    deepest generation read so far, or from a direct A(``DIRECT_UP_TO``)
-    when none was.
+    At p = 1 every record is a partial sum of one ladder run to max(m_range).
+    At p > 1 the corner identity rescales lam by s != 1 at each generation,
+    so each m runs its own ladder.
 
     The floor for generation m is m times the closed-form weight of the
     corner witness rectangle [0, rho^2] x [1 - rho^2, 1], whose pairs are
@@ -329,22 +325,19 @@ def cantor_growth(
             )
     lam = GROWTH_LAMBDA
     rect = selfsimilar.corner_rectangle_weight(gamma, CantorSpec(gamma=gamma, m=0).rho)
-    records = []
-    running = None  # (m, value, error) of the deepest ladder state so far
-    for m in sorted(m_range):
-        direct = p > 1.0 or m <= selfsimilar.DIRECT_UP_TO
-        if direct or running is None:
-            start = m if direct else selfsimilar.DIRECT_UP_TO
-            est = selfsimilar.box_measure(gamma, p, lam, start, rel_tol=rel_tol)
-            running = (start, est.value, est.error)
-        prev_m, val, err = running
-        for j in range(prev_m + 1, m + 1):
-            x = selfsimilar.cross_term(gamma, p, lam, j, rel_tol=rel_tol)
-            val += x.value
-            err += x.error
-        running = (m, val, err)
-        records.append(GrowthRecord(m=m, value=val, error=err, floor=m * rect))
-    return GrowthSequence(records=records)
+    ms = sorted(m_range)
+    if not ms or ms[0] < 0:
+        raise ValueError(f"generations must be a nonempty set of m >= 0, got {ms}")
+    if p == 1.0:
+        ladder = selfsimilar.box_measure_ladder(gamma, lam, ms[-1], rel_tol=rel_tol)
+        reads = [ladder.diagnostics["partial_sums"][m] for m in ms]
+    else:
+        ladders = [selfsimilar.box_measure_ladder(gamma, lam, m, rel_tol=rel_tol, p=p) for m in ms]
+        reads = [(e.value, e.error) for e in ladders]
+    return GrowthSequence(records=[
+        GrowthRecord(m=m, value=val, error=err, floor=m * rect)
+        for m, (val, err) in zip(ms, reads)
+    ])
 
 
 def mollified_indicator_growth(

@@ -1,16 +1,17 @@
 """Level-set measures of staircase functions on the unit box, at any depth.
 
-The box-restricted measure A(m, lam) of generation m obeys an exact
-decomposition: the two corner squares of side rho are rescaled copies whose
+The box-restricted measure A(m, lam) of generation m obeys an exact corner
+identity: the two corner squares of side rho are rescaled copies whose
 contributions equal A(m-1, s*lam) with s = 2 rho^(1 + gamma/p), and the rest
 of the box is a cross term X(m, lam) whose mass concentrates geometrically at
 macroscopic scales (every small-separation member pair must straddle one of
-the two copy interfaces).  For p = 1 the similarity factor s equals 1
-exactly, so A(m) = A(m0) + sum_{j>m0} X(j) with X(j) converging
-geometrically; deep generations are therefore evaluated by computing the
-first cross terms directly and extending the stabilized tail, with the
-stabilization defect carried into the error bound.  Double precision alone
-could never resolve those generations (the direct engine sees at most ~25).
+the two copy interfaces).  ``box_measure_ladder`` unrolls the identity from
+generation 0, for every p.  For p = 1 the factor s equals 1 exactly, so
+A(m) = A(0) + sum_{j<=m} X(j) with X(j) converging geometrically; deep
+generations compute the first cross terms and extend the stabilized tail,
+with the stabilization defect carried into the error bound.  Double
+precision alone could never resolve those generations (the direct engine
+sees at most ~25).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ __all__ = [
     "corner_rectangle_weight",
 ]
 
-DIRECT_UP_TO = 4  # generations read directly before the recursion takes over (p = 1)
-LADDER_STABLE_AFTER = 4  # cross terms computed for this many generations past m0
+LADDER_STABLE_AFTER = 8  # cross terms computed past m0 before the p = 1 tail extends
 
 
 def box_measure(
@@ -80,48 +80,50 @@ def box_measure_ladder(
     gamma: float,
     lam: float,
     m: int,
-    m0: int = DIRECT_UP_TO,
+    m0: int = 0,
     rel_tol: float = 5e-3,
+    p: float = 1.0,
 ) -> EngineEstimate:
-    """A(m, lam) for p = 1 via the exact recursion A(j) = A(j-1) + X(j).
+    """A(m, lam) unrolled from A(m0) by the corner identity.
 
-    Only p = 1 is supported: there the similarity factor is exactly 1, so all
-    cross terms are queried at the same threshold.  For p > 1 the direct
-    engine is no substitute: at gamma=-0.2, p=2 it reads A(1) 148 below
-    the corner identity A(1, lam) = A(0, s lam) + X(1, lam), where the error
-    bounds total 19.
+    Returns A(m0, s^(m-m0) lam) + sum_{j=m0+1..m} X(j, s^(m-j) lam).  The
+    partial sums after generations m0..m are kept in ``diagnostics`` as
+    (value, error) pairs; at p = 1, where s = 1, the one after generation k
+    is A(k, lam).  Only at p = 1 do the cross terms stop
+    ``LADDER_STABLE_AFTER`` generations past m0, with the stabilized tail
+    extended beyond.
     """
-    if m <= m0:
-        est = box_measure(gamma, 1.0, lam, m, rel_tol=rel_tol)
-        return EngineEstimate(est.value, est.error, est.evaluations, diagnostics={"direct": True})
-
-    base = box_measure(gamma, 1.0, lam, m0, rel_tol=rel_tol)
+    if not 0 <= m0 <= m:
+        raise ValueError(f"the ladder needs 0 <= m0 <= m, got m0={m0}, m={m}")
+    s = 2.0 ** (gamma * (1.0 - 1.0 / p) / (1.0 + gamma))
+    base = box_measure(gamma, p, s ** (m - m0) * lam, m0, rel_tol=rel_tol)
     value = base.value
     error = base.error
     evals = base.evaluations
+    partial_sums = [(value, error)]
 
-    j_top = min(m, m0 + LADDER_STABLE_AFTER)
+    j_top = min(m, m0 + LADDER_STABLE_AFTER) if s == 1.0 else m
     xs = []
     for j in range(m0 + 1, j_top + 1):
-        est = cross_term(gamma, 1.0, lam, j, rel_tol=rel_tol)
+        est = cross_term(gamma, p, s ** (m - j) * lam, j, rel_tol=rel_tol)
         xs.append(est)
         value += est.value
         error += est.error
         evals += est.evaluations
+        partial_sums.append((value, error))
 
-    diagnostics = {
-        "direct": False,
-        "m0": m0,
-        "cross_values": [e.value for e in xs],
-    }
+    diagnostics = {"m0": m0, "cross_values": [e.value for e in xs]}
     if m > j_top:
-        last = xs[-1].value
-        diffs = [abs(b.value - a.value) for a, b in zip(xs, xs[1:])]
-        defect = max(diffs[-1] if diffs else 0.0, xs[-1].error)
-        value += (m - j_top) * last
-        error += (m - j_top) * (defect + xs[-1].error)
+        last = xs[-1]
+        defect = max(abs(last.value - xs[-2].value), last.error)
+        partial_sums += [
+            (value + k * last.value, error + k * (defect + last.error))
+            for k in range(1, m - j_top + 1)
+        ]
+        value, error = partial_sums[-1]
         diagnostics["extended_generations"] = m - j_top
         diagnostics["stabilization_defect"] = defect
+    diagnostics["partial_sums"] = partial_sums
     return EngineEstimate(value, error, evals, diagnostics=diagnostics)
 
 

@@ -230,13 +230,41 @@ class TestGrowthFamilies:
             assert r.value >= 0.98 * r.floor
 
     def test_cantor_growth_from_a_deep_generation(self):
-        # with no shallower generation asked for, the ladder starts from a
-        # direct A(4), exactly as it does when 4 is in the range
+        # at p = 1 one ladder from A(0) runs to the deepest generation asked
+        # for, so the shallower generations in the range change nothing
         deep = cantor_growth(-0.5, 1.0, [5], rel_tol=0.1).records[0]
         both = cantor_growth(-0.5, 1.0, [4, 5], rel_tol=0.1).records[1]
         assert (deep.m, deep.value.hex(), deep.error.hex()) == (
             both.m, both.value.hex(), both.error.hex()
         )
+
+    def test_cantor_growth_reads_the_extended_tail(self, monkeypatch):
+        # past LADDER_STABLE_AFTER the records are the ladder's extended
+        # partial sums; engine stubbed: A(0) = 10, every X(j) = 1
+        from slopelab import selfsimilar
+        from slopelab.quadrature import EngineEstimate
+
+        monkeypatch.setattr(selfsimilar, "box_measure", lambda *a, **k: EngineEstimate(10.0, 0.5))
+        monkeypatch.setattr(selfsimilar, "cross_term", lambda *a, **k: EngineEstimate(1.0, 0.25))
+        seq = cantor_growth(-0.5, 1.0, [3, 12])
+        assert seq.values.tolist() == [13.0, 22.0]
+
+    @pytest.mark.parametrize("m_range", [[], [-1, 2]])
+    def test_cantor_growth_needs_generations(self, m_range):
+        with pytest.raises(ValueError):
+            cantor_growth(-0.5, 1.0, m_range)
+
+    def test_cantor_growth_nondecreasing_above_p_one(self):
+        seq = cantor_growth(-0.2, 2.0, range(1, 4))
+        assert np.all(np.diff(seq.values) >= 0)
+
+    @pytest.mark.parametrize(
+        "m, value, error", [(1, 420.2447, 0.069), (2, 843.1155, 0.600), (3, 1686.4179, 4.98)]
+    )
+    def test_cantor_growth_above_p_one_matches_direct_box(self, m, value, error):
+        # direct box_measure(-0.5, 2.0, GROWTH_LAMBDA, m) at the default tolerance
+        rec = cantor_growth(-0.5, 2.0, [m]).records[0]
+        assert abs(rec.value - value) <= rec.error + error
 
     def test_admissibility_guard_for_p_above_one(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,15 @@ class TestEveryCommandRuns:
         assert [(int(r[0]), float(r[3])) for r in rows] == [(1, rect), (2, 2 * rect)]
 
 
+    def test_cantor_above_p_one(self, tmp_path):
+        code, out, _ = run(
+            tmp_path, "cantor", ["cantor", "--gamma", "-0.2", "--p", "2", "--m-max", "3"]
+        )
+        assert code == EXIT_OK
+        values = [float(r[1]) for r in read_csv(out)[1]]
+        assert values == sorted(values)
+
+
 class TestExitCodes:
     def test_unknown_function_is_config_error(self, tmp_path):
         code, _, _ = run(

@@ -13,8 +13,16 @@ from slopelab.constants import halfline_closed_form
 from slopelab.measure import BudgetExceededError, LevelSetQuery, nu_measure, quotient
 from slopelab.params import Params
 from slopelab import quadrature
-from slopelab.quadrature import MAX_CELLS, _weight_vec, measure_line, near_diagonal, shell_weight
-from slopelab.selfsimilar import box_measure, cross_term
+from slopelab.quadrature import (
+    MAX_CELLS,
+    EngineEstimate,
+    _weight_vec,
+    measure_line,
+    near_diagonal,
+    shell_weight,
+)
+from slopelab import selfsimilar
+from slopelab.selfsimilar import box_measure, box_measure_ladder, cross_term
 
 
 def P(gamma, p=1.0, dim=1):
@@ -484,6 +492,78 @@ class TestSharedVertexSampling:
         est = measure_line(counted, -0.5, -0.5, 0.25, pair_box=(0.0, 1.0), rel_tol=0.05)
         assert est.value == box_measure(-0.5, 1.0, 0.25, 2, rel_tol=0.05).value
         assert 0 < points <= 0.6 * est.evaluations
+
+
+class TestStaircaseLadder:
+    """``box_measure_ladder`` unrolls the corner identity
+    A(m, lam) = A(m - 1, s lam) + X(m, lam) from A(m0)."""
+
+    def test_bench_ladder_pinned(self):
+        # the bench's staircase ladder op: A(2) plus the bench's own X(3..6) ops
+        est = box_measure_ladder(-0.5, 0.25, 6, m0=2, rel_tol=0.05)
+        assert (est.value.hex(), est.error.hex()) == (
+            "0x1.2dc89b7df169ep+5", "0x1.b11a7866a18b4p-3"
+        )
+
+    @pytest.mark.parametrize("m0, m", [(-1, 3), (4, 3)])
+    def test_generations_out_of_order_rejected(self, m0, m):
+        with pytest.raises(ValueError):
+            box_measure_ladder(-0.5, 0.25, m, m0=m0)
+
+    def test_agrees_with_direct_box_at_p_one(self):
+        ladder = box_measure_ladder(-0.5, 0.25, 4, rel_tol=0.05)
+        for m, (value, error) in enumerate(ladder.diagnostics["partial_sums"][1:], start=1):
+            direct = box_measure(-0.5, 1.0, 0.25, m, rel_tol=0.05)
+            assert abs(value - direct.value) <= error + direct.error, m
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: the ladder's X(4) reads 4.4714 where brute force gives 4.574, "
+        "so A(4) = 28.3939 +- 0.0169 misses the direct 28.5338 +- 0.1038",
+    )
+    def test_agrees_with_direct_box_at_default_tolerance(self):
+        ladder = box_measure_ladder(-0.5, 0.25, 4)
+        direct = box_measure(-0.5, 1.0, 0.25, 4)
+        assert abs(ladder.value - direct.value) <= ladder.error + direct.error
+
+    @staticmethod
+    def stub_engine(monkeypatch, calls):
+        """Box A(m0) = 10 +- 0.5 and every X(j) = 1 +- 0.25, recording thresholds."""
+
+        def box(gamma, p, lam, m, rel_tol):
+            calls.append(("box", m, lam))
+            return EngineEstimate(10.0, 0.5, 1)
+
+        def cross(gamma, p, lam, j, rel_tol):
+            calls.append(("cross", j, lam))
+            return EngineEstimate(1.0, 0.25, 1)
+
+        monkeypatch.setattr(selfsimilar, "box_measure", box)
+        monkeypatch.setattr(selfsimilar, "cross_term", cross)
+
+    def test_tail_extends_from_a_deep_base(self, monkeypatch):
+        calls = []
+        self.stub_engine(monkeypatch, calls)
+        est = box_measure_ladder(-0.5, 0.25, 20, m0=9)
+        assert [j for kind, j, _ in calls if kind == "cross"] == list(range(10, 18))
+        assert est.diagnostics["extended_generations"] == 3
+        sums = est.diagnostics["partial_sums"]
+        assert [v for v, _ in sums] == [10.0 + k for k in range(12)]
+        assert sums[-1] == (est.value, est.error)
+
+    def test_thresholds_rescale_above_p_one(self, monkeypatch):
+        # s = 2 rho^(1 + gamma/p) = 2^-1/2 at gamma = -1/2, p = 2; no tail extension
+        calls = []
+        self.stub_engine(monkeypatch, calls)
+        est = box_measure_ladder(-0.5, 0.25, 12, p=2.0)
+        s = 2.0 * CantorSpec(gamma=-0.5, m=0).rho ** 0.75
+        assert [(kind, j) for kind, j, _ in calls] == [("box", 0)] + [
+            ("cross", j) for j in range(1, 13)
+        ]
+        for kind, j, lam in calls:
+            assert lam == pytest.approx(s ** (12 - j) * 0.25, rel=1e-12)
+        assert "extended_generations" not in est.diagnostics
 
 
 class TestBudgetPerQuery:

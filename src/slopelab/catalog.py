@@ -15,8 +15,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .constants import sphere_area
 from .profiles import LineProfile
@@ -238,6 +236,8 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
 
     @lru_cache(maxsize=None)
     def grad_lp(p):
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda r: abs(float(deriv(r))) ** p * r ** (dim - 1), flat_to, radius, limit=200
         )
@@ -288,12 +288,19 @@ def _bump_deriv(r):
     return -2.0 * r / d**2 * np.exp(-1.0 / d)
 
 
-@lru_cache(maxsize=None)
 def _bump_lip() -> float:
-    res = minimize_scalar(
-        lambda t: -abs(float(_bump_deriv(np.array([t]))[0])), bounds=(0.0, 1.0), method="bounded"
-    )
-    return float(-res.fun)
+    """max |u'| of the bump: |u'(r)| = 2r (1 - r^2)^-2 exp(-1/(1 - r^2)) peaks where 3r^4 = 1.
+
+    near_diagonal reads the Lipschitz constant as an upper bound.  The peak
+    evaluated in floating point, here or by the gradient, lies within a few
+    ulps of the true maximum, so the value is rounded up by four ulps.
+    """
+    r = 3.0**-0.25
+    d = 1.0 - r * r
+    lip = 2.0 * r / d**2 * math.exp(-1.0 / d)
+    for _ in range(4):
+        lip = math.nextafter(lip, math.inf)
+    return lip
 
 
 def _make_smooth_bump(dim: int) -> TestFunction:

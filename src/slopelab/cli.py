@@ -14,6 +14,7 @@ where a finite value was required.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import math
 import platform
@@ -22,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, analysis, catalog, constants
 from .cantor import BlockCapError, counterexample_series
@@ -89,7 +89,8 @@ def _versions() -> dict:
     return {
         "slopelab": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        # the installed version, read without importing scipy
+        "scipy": importlib.metadata.version("scipy"),
         "python": platform.python_version(),
     }
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln
-
 __all__ = [
     "kappa",
     "sphere_area",
@@ -35,6 +33,8 @@ def kappa(p: float, dim: int) -> float:
     _check_dim(dim)
     if dim == 1:
         return 2.0
+    from scipy.special import gammaln
+
     log_val = (
         math.log(2.0)
         + gammaln((p + 1.0) / 2.0)
@@ -54,6 +54,8 @@ def sphere_area(dim: int) -> float:
     _check_dim(dim)
     if dim == 1:
         return 2.0
+    from scipy.special import gammaln
+
     return float(math.exp(math.log(2.0) + 0.5 * dim * math.log(math.pi) - gammaln(dim / 2.0)))
 
 

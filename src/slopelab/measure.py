@@ -10,6 +10,7 @@ a +inf sentinel with diagnostics rather than a number.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .catalog import TestFunction
 from .params import Params
-from .quadrature import BudgetExceededError, EngineEstimate, measure_line
+from .quadrature import BudgetExceededError, EngineEstimate, check_controls, measure_line
 
 __all__ = [
     "LevelSetQuery",
@@ -43,6 +44,9 @@ class LevelSetQuery:
     def __post_init__(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        check_controls(self.rel_tol, self.budget)
+        if not (isinstance(self.mc_samples, numbers.Integral) and self.mc_samples >= 1):
+            raise ValueError(f"mc_samples must be an integer >= 1, got {self.mc_samples!r}")
         if self.annulus is not None:
             d, r = self.annulus
             if d < 0 or r < d:

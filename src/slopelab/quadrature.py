@@ -38,6 +38,7 @@ it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -88,6 +89,14 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, partial: EngineEstimate):
         super().__init__(message)
         self.partial = partial
+
+
+def check_controls(rel_tol, budget) -> None:
+    """Reject a tolerance or an evaluation budget that no query can honour."""
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if not (isinstance(budget, numbers.Integral) and budget >= 0):
+        raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
 
 
 class _Divergent(Exception):
@@ -651,6 +660,7 @@ def measure_line(
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
+    check_controls(rel_tol, budget)
     beta = 1.0 + b
     diag: dict = {}
     lo, hi = profile.lo, profile.hi

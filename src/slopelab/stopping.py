@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 __all__ = ["StoppingDecomposition", "stopping_intervals"]
 
@@ -34,6 +32,8 @@ class StoppingDecomposition:
 
     def residuals(self, f, points=()) -> list[float]:
         """|I|^(-(gamma+1)) * int_I f - 1/2 for each interval."""
+        from scipy.integrate import quad
+
         q = -(self.gamma + 1.0)
         out = []
         for a, b in zip(self.endpoints, self.endpoints[1:]):
@@ -49,6 +49,9 @@ def stopping_intervals(
     breakpoints: tuple[float, ...] = (),
 ) -> StoppingDecomposition:
     """Decompose supp f into calibrated intervals (gamma < -1, f >= 0)."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     if not gamma < -1.0:
         raise ValueError(f"the stopping construction needs gamma < -1, got {gamma}")
     a, b = support

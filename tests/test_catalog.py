@@ -131,6 +131,29 @@ class TestSmoothBump:
         exact = bump.grad(xs)
         assert np.max(np.abs(fd - exact) / (np.abs(exact) + 1e-9)) < 1e-5
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lipschitz_constant_bounds_the_gradient(self, dim):
+        # |u'(r)| = 2r (1 - r^2)^-2 exp(-1/(1 - r^2)) peaks where 3r^4 = 1;
+        # near_diagonal reads lip as an upper bound
+        bump = get("smooth_bump", dim=dim)
+        r = 3.0**-0.25
+        d = 1.0 - r * r
+        closed = 2.0 * r / d**2 * math.exp(-1.0 / d)
+        assert closed < bump.lip <= closed + 4.0 * math.ulp(closed)
+        grid = np.linspace(-1.0, 1.0, 1_000_001 if dim == 1 else 1001)
+        peak = r + np.linspace(-1e-6, 1e-6, 20_001)
+        if dim == 1:
+            g = np.abs(bump.grad(np.concatenate([grid, peak, -peak])))
+        else:
+            theta = np.linspace(0.0, 2.0 * math.pi, 37)
+            shell = (peak[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], -1)[None])
+            xy = np.concatenate([
+                np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2), shell.reshape(-1, 2),
+            ])
+            g = np.hypot(*bump.grad(xy).T)
+        assert g.max() <= bump.lip
+        assert g.max() > closed * (1.0 - 1e-12)
+
     def test_zero_outside_support(self):
         bump = make_standard("smooth_bump")
         assert np.all(bump.eval(np.array([-2.0, 1.0, 3.0])) == 0.0)

@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+import scipy
 
 from slopelab.cli import EXIT_BAD_CONFIG, EXIT_INFINITE, EXIT_OK, build_parser, main
 from slopelab.selfsimilar import corner_rectangle_weight
@@ -47,6 +48,11 @@ class TestBasicCommands:
         sidecar = json.loads(side.read_text())
         assert sidecar["command"] == "measure"
         assert "versions" in sidecar and "timing_s" in sidecar
+
+    def test_sidecar_reports_the_scipy_version(self, tmp_path):
+        code, _, side = run(tmp_path, "kappa", ["kappa", "--p", "1", "--dim", "1"])
+        assert code == EXIT_OK
+        assert json.loads(side.read_text())["versions"]["scipy"] == scipy.__version__
 
     def test_seventeen_digit_rendering(self, tmp_path):
         _, out, _ = run(tmp_path, "kappa", ["kappa", "--p", "2", "--dim", "2"])
@@ -138,6 +144,24 @@ class TestExitCodes:
         argv = ["measure", "--fn", "tent"] + [t for kv in args.items() for t in kv]
         code, _, _ = run(tmp_path, "nonfinite", argv)
         assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--tol", "0"], "rel_tol"),
+            (["--tol", "-1"], "rel_tol"),
+            (["--tol", "nan"], "rel_tol"),
+            (["--budget", "-5"], "budget"),
+            (["--method", "montecarlo", "--mc-samples", "0"], "mc_samples"),
+        ],
+    )
+    def test_unusable_query_control_is_config_error(self, tmp_path, capsys, flags, field):
+        # these used to spend the whole budget, die in numpy, or run anyway
+        argv = ["measure", "--fn", "tent", "--gamma", "1", "--lambda", "8", *flags]
+        code, out, _ = run(tmp_path, "control", argv)
+        assert code == EXIT_BAD_CONFIG
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_mollification_level_is_config_error(self, tmp_path):
         argv = ["measure", "--fn", "mollified_indicator(2.5)", "--gamma", "1", "--lambda", "4"]

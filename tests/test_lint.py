@@ -67,6 +67,34 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+def eager_imports(source: str, package: str) -> list[str]:
+    """Imports of ``package`` that run when the module is imported.
+
+    Everything outside a function body runs at import, class bodies and
+    top-level ``if``/``try`` blocks included.
+    """
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found.extend(
+            f"line {node.lineno}: {name}" for name in names
+            if name == package or name.startswith(package + ".")
+        )
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
 def test_the_check_sees_unused_and_exported_names():
     source = "import os\nimport sys as system\nfrom math import pi, tau\n"
     source += "__all__ = ['tau']\nprint(pi)\n"
@@ -92,3 +120,23 @@ def test_the_check_sees_dead_definitions():
 def test_no_dead_definitions():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_definitions(sources) == []
+
+
+def test_the_check_sees_eager_imports():
+    source = (
+        "import scipy\nfrom scipy.special import gammaln\nimport scipyx\n"
+        "try:\n    import scipy.optimize as so\nexcept ImportError:\n    pass\n"
+        "class C:\n    from scipy import integrate\n"
+        "def f():\n    from scipy.integrate import quad\n    return quad\n"
+    )
+    assert eager_imports(source, "scipy") == [
+        "line 1: scipy", "line 2: scipy.special", "line 5: scipy.optimize", "line 9: scipy",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_scipy_is_imported_only_where_it_is_called(path):
+    # importing slopelab, the line engine and the 1-D commands need no scipy;
+    # the reference norms, kappa(p, N >= 2) and the stopping decomposition
+    # import it in the functions that call it
+    assert eager_imports(path.read_text(encoding="utf-8"), "scipy") == [], path.name

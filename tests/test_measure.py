@@ -638,6 +638,32 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             measure_line(tent.line_profile(), -2.0, -2.0, lam)
 
+    @pytest.mark.parametrize(
+        "controls,field",
+        [
+            (dict(rel_tol=0.0), "rel_tol"),
+            (dict(rel_tol=math.nan), "rel_tol"),
+            (dict(rel_tol=math.inf), "rel_tol"),
+            (dict(budget=-5), "budget"),
+            (dict(budget=1e6), "budget"),
+        ],
+    )
+    def test_unusable_controls_rejected_at_both_entries(self, controls, field):
+        tent = make_standard("tent")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LevelSetQuery(u=tent, params=P(1.0), lam=8.0, **controls)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            measure_line(tent.line_profile(), 1.0, 1.0, 8.0, **controls)
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_monte_carlo_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="^mc_samples must be"):
+            LevelSetQuery(u=make_standard("tent"), params=P(1.0), lam=8.0, mc_samples=samples)
+
+    def test_zero_budget_is_a_budget_error_not_a_config_error(self):
+        with pytest.raises(BudgetExceededError):
+            measure_line(make_standard("tent").line_profile(), 1.0, 1.0, 8.0, budget=0)
+
     def test_non_finite_cell_weight_raises_before_sampling(self):
         # at lambda = 1e-300 the cells start at h = 1e-250, where h^-2
         # overflows: the engine must stop, not drop those cells

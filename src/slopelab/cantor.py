@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import _SMOOTHSTEP_PEAK, TestFunction, shift, smoothstep, smoothstep_deriv
+from .catalog import SMOOTHSTEP_PEAK, TestFunction, shift, smoothstep, smoothstep_deriv
 
 __all__ = [
     "CantorSpec",
@@ -69,7 +69,7 @@ class CantorSpec:
 
     def lip_bound(self) -> float:
         """Upper bound for the staircase slope: (2 rho)^-m * max g0'."""
-        peak = _SMOOTHSTEP_PEAK / (1.0 - 2.0 * self.rho)  # max of g0_deriv
+        peak = SMOOTHSTEP_PEAK / (1.0 - 2.0 * self.rho)  # max of g0_deriv
         try:
             return peak * (2.0 * self.rho) ** (-self.m)
         except OverflowError:
@@ -217,7 +217,7 @@ def _cutoff_1d_deriv(s):
     db = -2.0 * smoothstep_deriv(2.0 * (2.0 - s))
     return da * b + a * db
 
-_CUTOFF_LIP = 2.0 * _SMOOTHSTEP_PEAK  # |eta'| <= 2 * smoothstep peak
+_CUTOFF_LIP = 2.0 * SMOOTHSTEP_PEAK  # |eta'| <= 2 * smoothstep peak
 
 
 def block_function(spec: CantorSpec) -> TestFunction:

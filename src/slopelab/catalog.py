@@ -29,6 +29,7 @@ __all__ = [
     "reflect",
     "smoothstep",
     "smoothstep_deriv",
+    "SMOOTHSTEP_PEAK",
     "STANDARD_IDS",
 ]
 
@@ -85,7 +86,7 @@ def smoothstep_deriv(s):
     return out
 
 
-_SMOOTHSTEP_PEAK = 2.0  # max of smoothstep_deriv, attained at s = 1/2
+SMOOTHSTEP_PEAK = 2.0  # max of smoothstep_deriv, attained at s = 1/2
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +420,7 @@ def mollified_indicator(m: int, dim: int = 1) -> TestFunction:
         # 2 * smoothstep((outer - r) / width): 2 inside, 0 outside the collar
         lambda r2: 2.0 * smoothstep((outer - np.sqrt(r2)) / width),
         lambda r: -2.0 * smoothstep_deriv((outer - r) / width) / width,
-        outer, sup=2.0, lip=2.0 * _SMOOTHSTEP_PEAK / width, flat_to=1.0 - eps,
+        outer, sup=2.0, lip=2.0 * SMOOTHSTEP_PEAK / width, flat_to=1.0 - eps,
     )
 
 
@@ -485,7 +486,7 @@ def scale_values(tf: TestFunction, c: float) -> TestFunction:
         grad_bv=(None if tf.grad_bv is None else a * tf.grad_bv),
         grad_lp=(None if base_lp is None else (lambda p, _a=a: _a * base_lp(p))),
         lip=(None if tf.lip is None else a * tf.lip),
-        jumps=tuple((loc, a * sz) for loc, sz in tf.jumps),
+        jumps=tuple((loc, a * sz) for loc, sz in tf.jumps if a > 0),  # 0 * u has none
     )
 
 

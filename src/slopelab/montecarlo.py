@@ -28,7 +28,7 @@ import numpy as np
 from .constants import sphere_area
 from .measure import LevelSetQuery, MeasureEstimate
 from .profiles import jump_structure
-from .quadrature import PRECISION_FLOOR, _weight_vec, near_diagonal
+from .quadrature import PRECISION_FLOOR, member_window, near_diagonal, shell_weight
 
 __all__ = ["measure_montecarlo"]
 
@@ -82,12 +82,9 @@ def measure_montecarlo(q: LevelSetQuery) -> MeasureEstimate:
     else:
         r_lo = max(cut.cut_for(q.rel_tol / (4.0 * sigma)), PRECISION_FLOOR)
         below = sigma * cut.remainder(r_lo)
-    # beyond r_hi, |u(x) - u(y)| <= 2 sup |u| cannot exceed lam r^beta
-    if beta > 0.0:
-        r_hi = (2.0 * u.sup_norm / lam) ** (1.0 / beta) if u.sup_norm > 0 else 0.0
-    else:
-        r_hi = math.inf  # gamma < 0 here, the far weight integral converges
-    r_hi = min(r_hi, d_hi)
+    # beyond r_hi, |u(x) - u(y)| <= 2 sup |u| cannot exceed lam r^beta; for
+    # beta <= 0, gamma < 0 and the far weight integral converges
+    r_hi = min(float(member_window(2.0 * u.sup_norm, lam, beta)[1]), d_hi)
     if not r_hi > r_lo:
         return MeasureEstimate(
             value=below, error_bound=below, method="montecarlo",
@@ -99,7 +96,7 @@ def measure_montecarlo(q: LevelSetQuery) -> MeasureEstimate:
     while edges[-1] < r_hi and len(edges) < 64:
         edges.append(min(edges[-1] * 4.0, r_hi))
     edges[-1] = r_hi
-    weights = _weight_vec(gamma, edges[:-1], edges[1:])
+    weights = shell_weight(gamma, edges[:-1], edges[1:])
     alloc = np.maximum(64, (q.mc_samples * weights / weights.sum()).astype(int))
 
     seeds = np.random.SeedSequence(q.seed).spawn(len(weights))

@@ -20,6 +20,13 @@ Jump = Tuple[float, float]  # (location, |jump size|)
 
 @dataclass(frozen=True)
 class LineProfile:
+    """A line function for the measure engine: f, its plateaus and its metadata.
+
+    ``jumps`` lists every jump of f on [lo, hi] as (location, size), those
+    at lo and hi against the plateaus included: the engine reads all of
+    them from this declaration and does not search the profile for any.
+    """
+
     f: Callable[[np.ndarray], np.ndarray]
     lo: float                        # f is constant left of lo ...
     hi: float                        # ... and right of hi
@@ -33,6 +40,13 @@ class LineProfile:
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError("profile interval is empty")
+        for loc, size in self.jumps:
+            if not self.lo <= loc <= self.hi:
+                raise ValueError(
+                    f"jump ({loc!r}, {size!r}) lies outside [lo, hi] = [{self.lo!r}, {self.hi!r}]"
+                )
+            if not (size > 0 and math.isfinite(size)):
+                raise ValueError(f"jump ({loc!r}, {size!r}) has a size that is not finite and > 0")
 
     @property
     def span(self) -> float:

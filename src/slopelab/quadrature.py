@@ -5,11 +5,13 @@ in (x, h) coordinates, h = y - x > 0, doubled by symmetry at the end.  Pairs
 split into two exhaustive families:
 
 * at least one endpoint on a plateau (the profile is constant outside
-  [lo, hi]): membership reduces to v > lambda h^beta with v known pointwise,
-  so the h-integral of the weight is a closed form per x and only a
-  one-dimensional x-quadrature remains (exact geometry, no sampling of the
-  indicator); the two-plateau family is a full closed form.  This part
-  dominates for gamma < -1 and is where infinite measures arise.
+  [lo, hi]): membership reduces to v > lambda h^beta with v known pointwise.
+  Its separations form one interval, ``member_window``, whose shape depends
+  only on the sign of beta, so the h-integral of the weight is a closed form
+  per x (``shell_weight``) and only a one-dimensional x-quadrature remains
+  (exact geometry, no sampling of the indicator); the two-plateau family is
+  a full closed form.  This part dominates for gamma < -1 and is where
+  infinite measures arise.
 * both endpoints inside (lo, hi): the h-axis is covered by geometric shells
   whose singular weight is integrated in closed form, and the membership
   indicator is resolved by quadtree bisection at the superlevel-set boundary.
@@ -18,9 +20,10 @@ split into two exhaustive families:
   x + h = hi of this pair domain enters through the cell weight, not the
   membership: a cell that straddles it weighs only its part inside, in
   closed form, and no cell wholly beyond it is made.  Membership masks a
-  support edge only where the profile jumps there; at a continuous edge it
-  is sampled straight across, so the edge is not refined as if it were a
-  level-set boundary.
+  support edge only where the profile declares a jump there; at a
+  continuous edge it is sampled straight across, so the edge is not refined
+  as if it were a level-set boundary.  Edge jumps, like interior ones, are
+  read from the declarations, never searched for.
 
 Near the diagonal, one rule, ``near_diagonal``, gives the cutoff below which
 membership is provably impossible or the bound on the mass below a cutoff,
@@ -51,6 +54,7 @@ __all__ = [
     "BudgetExceededError",
     "NearCut",
     "measure_line",
+    "member_window",
     "near_diagonal",
     "shell_weight",
 ]
@@ -61,7 +65,6 @@ __all__ = [
 # constant is loose.  The last increment against the first decides.
 DIVERGENT_INCREMENT_RATIO = 0.5
 PRECISION_FLOOR = 1e-250  # below this h, double precision cannot see membership
-EDGE_TOL = 1e-9           # relative size above which an edge mismatch is a jump
 MAX_CELLS = 250_000       # most cells one refinement round hands to the next
 _BLOCK = 4096             # cells sampled per block of a refinement round
 _EXPLORE_ROUNDS = 2       # first rounds of _refine, which also split sampled-empty cells
@@ -108,40 +111,46 @@ class _Divergent(Exception):
 # closed-form weight pieces
 # ---------------------------------------------------------------------------
 
-def shell_weight(gamma: float, h1, h2):
-    """Integral of h^(gamma-1) over [h1, h2] (vectorized)."""
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if gamma == 0.0:
-        return np.log(h2 / h1)
-    return (h2**gamma - h1**gamma) / gamma
+def _power_integral(gamma: float, a, b):
+    """The closed form of ``shell_weight`` without its masks, for 0 < a <= b < inf."""
+    return np.log(b / a) if gamma == 0.0 else (b**gamma - a**gamma) / gamma
 
 
-def _weight_vec(gamma: float, a, b):
-    """Integral of h^(gamma-1) over [a, b] elementwise; b may be inf."""
+def shell_weight(gamma: float, a, b):
+    """Integral of h^(gamma-1) over [a, b] elementwise: 0 where b <= a.
+
+    From a = 0 it is inf for gamma <= 0, and to b = inf it is the tail
+    a^gamma / -gamma for gamma < 0 and inf at gamma = 0; for gamma > 0 an
+    infinite upper end raises ``_Divergent``.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(np.broadcast(a, b).shape)
-    a, b = np.broadcast_arrays(a, b)
-    good = b > a
-    if gamma == 0.0:
-        with np.errstate(divide="ignore"):
-            out[good] = np.log(b[good] / a[good])
-        return out
-    if gamma < 0.0:
-        # from h = 0 the integral diverges; 0 ** gamma would divide by zero
-        from_zero = good & (a == 0.0)
-        out[from_zero] = np.inf
-        good &= ~from_zero
-        fin = good & np.isfinite(b)
-        out[fin] = (b[fin] ** gamma - a[fin] ** gamma) / gamma
-        tail = good & ~np.isfinite(b)
-        out[tail] = a[tail] ** gamma / (-gamma)
-        return out
-    if np.any(good & ~np.isfinite(b)):
-        raise _Divergent(f"weight integral to infinity diverges for gamma={gamma:g} >= 0")
-    out[good] = (b[good] ** gamma - a[good] ** gamma) / gamma
-    return out
+    inside = b > a
+    if gamma > 0.0 and np.any(inside & (b == math.inf)):
+        raise _Divergent(f"weight integral to infinity diverges for gamma={gamma:g} > 0")
+    # 0 ** gamma is inf and inf ** gamma is 0 for gamma < 0, so the closed
+    # form is the integral at both ends; where b <= a it may be nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = _power_integral(gamma, a, b)
+    return np.where(inside, w, 0.0)
+
+
+def member_window(v, lam: float, beta: float):
+    """The open interval (lo, hi) of separations h > 0 with v > lam h^beta.
+
+    It is (0, (v/lam)^(1/beta)) for beta > 0, (0, inf) where v > lam for
+    beta = 0 and ((v/lam)^(1/beta), inf) for beta < 0; it is empty (lo >= hi)
+    wherever v <= 0.  Elementwise in v; a float v gives numpy scalars, whose
+    powers are the C library's, as a Python float's are.
+    """
+    v = np.maximum(v, 0.0)
+    lo = np.zeros_like(v)[()]  # [()] keeps a scalar a scalar
+    hi = lo + math.inf
+    if beta == 0.0:
+        return lo, np.where(v > lam, hi, lo)[()]
+    with np.errstate(over="ignore", divide="ignore"):
+        edge = (v / lam) ** (1.0 / beta)
+    return (lo, edge) if beta > 0.0 else (edge, hi)
 
 
 def _ramp_primitive(gamma: float, span, h):
@@ -180,10 +189,12 @@ def _cell_weight(gamma: float, x1, x2, h1, h2, top: float):
     to h = top - x2, and above that the width top - x1 - h until
     h = top - x1: the integrand of the two-plateau ramp with span top - x1.
     Rounding in the ramp's primitive is clipped, so that a weight is never
-    negative and never exceeds the whole cell's.
+    negative and never exceeds the whole cell's.  Cells have
+    0 < h1 <= h2 < inf, so they take the bare closed form: the masks of
+    ``shell_weight`` would add a sixth to a half to its time in every round.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (x2 - x1) * shell_weight(gamma, h1, h2)
+        w = (x2 - x1) * _power_integral(gamma, h1, h2)
         cut = (x2 + h2 > top).nonzero()[0]
         if len(cut):
             x1, x2, h1, h2 = x1[cut], x2[cut], h1[cut], h2[cut]
@@ -191,7 +202,7 @@ def _cell_weight(gamma: float, x1, x2, h1, h2, top: float):
             a = np.minimum(np.maximum(top - x2, h1), h2)  # the full width ends here
             b = np.maximum(np.minimum(h2, span), a)       # the last pair inside
             part = _ramp_primitive(gamma, span, a) - _ramp_primitive(gamma, span, b)
-            part += (x2 - x1) * shell_weight(gamma, h1, a)
+            part += (x2 - x1) * _power_integral(gamma, h1, a)
             w[cut] = np.minimum(np.maximum(part, 0.0, out=part), w[cut], out=part)
     return w
 
@@ -256,9 +267,8 @@ def near_diagonal(
     """
     L = lipschitz
     if beta < 0.0:
-        if sup == 0.0:
-            return NearCut("zero")
-        return NearCut("zero", h_cut=(2.0 * sup / lam) ** (1.0 / beta))
+        # |u(x) - u(y)| <= 2 sup: no pair closer than its window's lower end is a member
+        return NearCut("zero", h_cut=float(member_window(2.0 * sup, lam, beta)[0]))
 
     if beta == 0.0:
         if jump > lam:
@@ -339,41 +349,6 @@ def _graded_grid(profile: LineProfile) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
-def _h_windows(gamma, beta, lam, v, t0, h_hi):
-    """Vectorized weight of {h in (t0, h_hi]: v > lam h^beta} per point."""
-    v = np.asarray(v, dtype=float)
-    t0 = np.asarray(t0, dtype=float)
-    w = np.zeros_like(v)
-    pos = v > 0
-    if not pos.any():
-        return w
-    if beta > 0.0:
-        with np.errstate(over="ignore"):
-            h_star = (v[pos] / lam) ** (1.0 / beta)
-        w[pos] = _weight_vec(gamma, t0[pos], np.minimum(h_star, h_hi))
-    elif beta == 0.0:
-        on = v > lam
-        if on.any():
-            w[on] = _weight_vec(gamma, t0[on], h_hi)
-    else:
-        with np.errstate(over="ignore"):
-            h_star = (v[pos] / lam) ** (1.0 / beta)
-        w[pos] = _weight_vec(gamma, np.maximum(h_star, t0[pos]), h_hi)
-    return w
-
-
-def _edge_jump_sizes(profile: LineProfile) -> tuple[float, float]:
-    """Jumps between the profile and its plateaus at (lo, hi); 0 where it is continuous."""
-    scale = max(profile.span, 1.0)
-    eps = scale * 1e-12
-    tol = EDGE_TOL * max(profile.sup, 1.0)
-    if profile.span == 0.0:
-        return 0.0, 0.0
-    v_l = abs(float(profile.f(np.array([profile.lo + eps]))[0]) - profile.left)
-    v_r = abs(float(profile.f(np.array([profile.hi - eps]))[0]) - profile.right)
-    return (v_l if v_l > tol else 0.0), (v_r if v_r > tol else 0.0)
-
-
 def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
     """Mass of all pairs with at least one endpoint on a plateau.
 
@@ -397,7 +372,8 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
             else:
                 v = np.abs(profile.f(xs) - profile.left)
                 t0 = np.maximum(h_lo, xs - lo)
-            w = _h_windows(gamma, beta, lam, v, t0, h_hi)
+            h_in, h_out = member_window(v, lam, beta)
+            w = shell_weight(gamma, np.maximum(t0, h_in), np.minimum(h_out, h_hi))
             w[~np.isfinite(w)] = 0.0
             # the exact edge point is measure zero; keep the integrand finite
             fine = float(np.trapezoid(w, xs))
@@ -412,13 +388,8 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 
     delta = abs(profile.right - profile.left)
     if delta > 0.0:
-        t_lo = max(profile.span, h_lo)
-        if beta > 0.0:
-            a, b = t_lo, min((delta / lam) ** (1.0 / beta), h_hi)
-        elif beta == 0.0:
-            a, b = (t_lo, h_hi) if delta > lam else (t_lo, t_lo)
-        else:
-            a, b = max(t_lo, (delta / lam) ** (1.0 / beta)), h_hi
+        h_in, h_out = member_window(delta, lam, beta)
+        a, b = max(profile.span, h_lo, h_in), min(h_out, h_hi)
         ramp = _ramp_integral(gamma, profile.span, a, b)
         if math.isinf(ramp):
             raise _Divergent(
@@ -678,15 +649,16 @@ def measure_line(
 
     # The cells' pairs end at x + h = box_hi, or at hi, beyond which the
     # plateau interactions take over in closed form.  An edge is masked only
-    # where the profile jumps there (a region predicate keeps the box edge
-    # masked too); at a continuous edge the cells are clipped to it instead.
-    # Every cell has x >= box_lo.
+    # where the profile declares a jump there (a region predicate keeps the
+    # box edge masked too); at a continuous edge the cells are clipped to it
+    # instead.  Every cell has x >= box_lo.
     if boxed:
         mask_lo, edge = False, box_hi
         mask_top = region is not None or any(loc == box_hi for loc, _ in profile.jumps)
     else:
-        jump_lo, jump_hi = _edge_jump_sizes(profile)
-        mask_lo, mask_top, edge = jump_lo > 0.0, jump_hi > 0.0, hi
+        edge_jumps = [j for j in profile.jumps if j[0] in (lo, hi)]
+        jumps_at = {loc for loc, _ in edge_jumps}
+        mask_lo, mask_top, edge = lo in jumps_at, hi in jumps_at, hi
     top = math.inf if mask_top else edge
 
     def f(a):
@@ -723,8 +695,7 @@ def measure_line(
         cut = rule(profile.lipschitz, *jump_structure(cell_jumps))
     cuts = [cut]
     if not boxed:
-        edge_jumps = [v for v in (jump_lo, jump_hi) if v]
-        cuts.append(rule(profile.lipschitz, max(edge_jumps, default=0.0), len(edge_jumps)))
+        cuts.append(rule(profile.lipschitz, *jump_structure(edge_jumps)))
     for c in cuts:
         if c.kind == "divergent" and h_lo == 0.0:
             return EngineEstimate(math.inf, math.inf, diagnostics={"reason": c.reason})
@@ -806,10 +777,11 @@ def measure_line(
     # --- near cutoff --------------------------------------------------------
     rem = 0.0
     rounds = 0
-    if h_lo > 0.0:
+    if cut.kind == "zero":
+        # no pair closer than h_cut is a member, also inside an annulus
+        cell_lo = max(h_lo, cut.h_cut)
+    elif h_lo > 0.0:
         cell_lo = h_lo
-    elif cut.kind == "zero":
-        cell_lo = cut.h_cut
     else:
         guess = max(rel_tol * max(tail_v, 1.0), 1e-12)
         pv_lo = max(cut.cut_for(guess), PRECISION_FLOOR)

@@ -2,16 +2,22 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from slopelab.cantor import CantorSpec, block_function, counterexample_series, staircase_function
 from slopelab.catalog import (
     dilate,
     get,
     make_standard,
     mollified_indicator,
+    negate,
+    reflect,
+    scale_values,
+    shift,
     smoothstep,
     smoothstep_deriv,
 )
@@ -390,3 +396,107 @@ class TestTransformsAndDescriptors:
             again = json.loads(json.dumps(d))
             assert again["id"] == d["id"]
             assert again["support"] == d["support"]
+
+
+# ---------------------------------------------------------------------------
+# Declared jumps: the line engine reads the jumps at a profile's support
+# edges from its declaration and never searches for them, so every profile
+# the engine is handed must declare them.
+# ---------------------------------------------------------------------------
+
+LINE_IDS = (
+    "tent", "smooth_bump", "halfline_step", "interval_indicator(1)",
+    "interval_indicator(2.5)", "linear_ramp(1)", "linear_ramp(3)", "ball_indicator(1)",
+    "mollified_indicator(3)", "mollified_indicator(6)",
+)
+VARIANTS = {
+    "dilate": lambda u: dilate(u, 2.5),
+    "shift": lambda u: shift(u, -0.7),
+    "reflect": reflect,
+    "scale": lambda u: scale_values(u, 3.0),
+    "negate": negate,
+}
+
+
+def _line_entries():
+    for fid in LINE_IDS:
+        u = make_standard(fid)
+        yield fid, u.line_profile()
+        for name, variant in VARIANTS.items():
+            yield f"{fid}~{name}", variant(u).line_profile()
+    for m in range(7):
+        yield f"staircase(m={m})", staircase_function(CantorSpec(gamma=-0.5, m=m)).line_profile()
+    yield "block(m=2)", block_function(CantorSpec(gamma=-0.5, m=2)).line_profile()
+    yield "series(-0.5, 3)", counterexample_series(-0.5, 3).line_profile()
+
+
+def _slices():
+    for fid in ("smooth_bump", "ball_indicator(1)", "mollified_indicator(3)"):
+        u = make_standard(fid, dim=2)
+        radius = u.support[0][1]
+        offsets = np.concatenate([
+            np.linspace(0.0, radius, 33), RNG.uniform(0.0, radius, 40), [radius * (1 - 1e-9)]
+        ])
+        for s in offsets:
+            prof = u.slicer(0.0, float(s))
+            if prof is not None:
+                yield f"{fid}@{s:.6g}", prof
+
+
+def edge_mismatches(prof):
+    """Where a declared edge jump differs from |f(lo+) - left| or |f(hi-) - right|."""
+    eps = 1e-12 * max(prof.span, 1.0)
+    tol = 1e-9 * max(prof.sup, 1.0)
+    found = []
+    for name, x, side, plateau in (
+        ("lo", prof.lo, prof.lo + eps, prof.left), ("hi", prof.hi, prof.hi - eps, prof.right)
+    ):
+        seen = abs(float(prof.f(np.array([side]))[0]) - plateau)
+        declared = sum(size for loc, size in prof.jumps if loc == x)
+        if abs(seen - declared) > tol:
+            found.append(f"{name}: declared {declared!r}, the profile jumps by {seen!r}")
+    return found
+
+
+class TestDeclaredEdgeJumps:
+    def test_line_entries(self):
+        entries = dict(_line_entries())
+        assert len(entries) == 6 * len(LINE_IDS) + 9
+        bad = {name: m for name, prof in entries.items() if (m := edge_mismatches(prof))}
+        assert bad == {}
+
+    def test_rotation_slices(self):
+        slices = dict(_slices())
+        assert len(slices) > 200
+        bad = {name: m for name, prof in slices.items() if (m := edge_mismatches(prof))}
+        assert bad == {}
+
+    def test_the_check_sees_an_undeclared_edge_jump(self):
+        prof = make_standard("interval_indicator(1)").line_profile()
+        assert edge_mismatches(replace(prof, jumps=((1.0, 1.0),))) == [
+            "lo: declared 0, the profile jumps by 1.0"
+        ]
+        assert edge_mismatches(replace(prof, jumps=((0.0, 0.5), (1.0, 1.0)))) == [
+            "lo: declared 0.5, the profile jumps by 1.0"
+        ]
+
+
+class TestJumpValidation:
+    BASE = make_standard("interval_indicator(1)").line_profile()
+
+    @pytest.mark.parametrize("loc", [-0.5, 1.0 + 1e-12, math.inf, math.nan])
+    def test_jump_outside_the_support_is_rejected(self, loc):
+        with pytest.raises(ValueError, match=r"jump \(.*\) lies outside \[lo, hi\]"):
+            replace(self.BASE, jumps=((0.0, 1.0), (loc, 1.0)))
+
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
+    def test_jump_size_must_be_finite_and_positive(self, size):
+        with pytest.raises(ValueError, match=r"jump \(1\.0, .*\) has a size that is not finite"):
+            replace(self.BASE, jumps=((0.0, 1.0), (1.0, size)))
+
+    def test_zero_multiple_declares_no_jumps(self):
+        prof = scale_values(make_standard("interval_indicator(1)"), 0.0).line_profile()
+        assert prof.jumps == () and edge_mismatches(prof) == []
+
+    def test_jumps_at_both_edges_are_accepted(self):
+        assert replace(self.BASE, jumps=((0.0, 2.0), (1.0, 0.5))).jumps == ((0.0, 2.0), (1.0, 0.5))

@@ -140,3 +140,45 @@ def test_scipy_is_imported_only_where_it_is_called(path):
     # the reference norms, kappa(p, N >= 2) and the stopping decomposition
     # import it in the functions that call it
     assert eager_imports(path.read_text(encoding="utf-8"), "scipy") == [], path.name
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscored names a module imports from another slopelab module.
+
+    Relative imports and imports from ``slopelab`` count; dunder names such
+    as ``__version__`` do not.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if node.level == 0 and module.split(".")[0] != "slopelab":
+            continue
+        found.extend(
+            f"line {node.lineno}: from {module} import {alias.name}" for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        )
+    return found
+
+
+def test_the_check_sees_private_imports():
+    source = (
+        "from .quadrature import _weight_vec, near_diagonal\n"
+        "from slopelab.catalog import _PEAK as PEAK\n"
+        "from . import __version__, _helpers\n"
+        "from os import _exit\n"
+        "def f():\n    from .profiles import _spare\n    return _spare\n"
+    )
+    assert private_imports(source) == [
+        "line 1: from .quadrature import _weight_vec",
+        "line 2: from slopelab.catalog import _PEAK",
+        "line 3: from . import _helpers",
+        "line 6: from .profiles import _spare",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    # a name another module needs is part of its module's interface
+    assert private_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slopelab.cantor import CantorSpec, staircase_function
 from slopelab.catalog import dilate, get, make_standard, negate, reflect
@@ -16,8 +17,8 @@ from slopelab import quadrature
 from slopelab.quadrature import (
     MAX_CELLS,
     EngineEstimate,
-    _weight_vec,
     measure_line,
+    member_window,
     near_diagonal,
     shell_weight,
 )
@@ -29,16 +30,81 @@ def P(gamma, p=1.0, dim=1):
     return Params(dim=dim, p=p, gamma=gamma)
 
 
-class TestWeightVec:
+class TestShellWeight:
+    # gamma = 0 is the log; close to it, (b^g - a^g) / g loses digits to cancellation
+    GAMMAS = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05))
+
     def test_from_zero_diverges_for_negative_gamma(self):
         # a RuntimeWarning from 0 ** gamma would fail the suite
         a = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
         b = np.array([1.0, np.inf, 0.0, 4.0, np.inf])
-        w = _weight_vec(-0.5, a, b)
+        w = shell_weight(-0.5, a, b)
         assert w.tolist() == [np.inf, np.inf, 0.0, 1.0, 2.0]
 
     def test_from_zero_for_nonnegative_gamma(self):
-        assert _weight_vec(0.5, np.array([0.0]), np.array([4.0])).tolist() == [4.0]
+        assert shell_weight(0.5, np.array([0.0]), np.array([4.0])).tolist() == [4.0]
+
+    @given(gamma=GAMMAS, a=st.floats(1e-3, 1e2), b=st.floats(1e-3, 1e2))
+    @settings(max_examples=300, deadline=None)
+    def test_special_cases(self, gamma, a, b):
+        lo, hi = min(a, b), max(a, b)
+        assert shell_weight(gamma, [hi, lo], [lo, lo]).tolist() == [0.0, 0.0]
+        if gamma <= 0.0:
+            assert shell_weight(gamma, [0.0], [hi]).tolist() == [math.inf]
+        if gamma < 0.0:
+            # the tail's closed form, with numpy's power
+            tail = np.array([lo]) ** gamma / -gamma
+            assert shell_weight(gamma, [lo], [math.inf]).tolist() == tail.tolist()
+        elif gamma > 0.0:
+            assert shell_weight(gamma, [0.0], [hi])[0] == pytest.approx(hi**gamma / gamma)
+            with pytest.raises(quadrature._Divergent):
+                shell_weight(gamma, [lo], [math.inf])
+
+    @given(
+        gamma=GAMMAS,
+        a=st.floats(1e-3, 1e2),
+        r1=st.floats(1e-3, 1e3),
+        r2=st.floats(1e-3, 1e3),
+        to_infinity=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_additive(self, gamma, a, r1, r2, to_infinity):
+        m = a * (1.0 + r1)
+        b = math.inf if to_infinity and gamma < 0.0 else m * (1.0 + r2)
+        parts = shell_weight(gamma, [a, m], [m, b])
+        whole = float(shell_weight(gamma, [a], [b])[0])
+        assert float(parts.sum()) == pytest.approx(whole, rel=1e-9)
+
+
+class TestMemberWindow:
+    BETAS = st.one_of(st.just(0.0), st.floats(0.05, 4.0), st.floats(-4.0, -0.05))
+
+    @given(
+        v=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+        lam=st.floats(1e-3, 1e3),
+        beta=BETAS,
+        h=st.floats(1e-6, 1e6),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_holds_exactly_inside_the_window(self, v, lam, beta, h):
+        lo, hi = member_window(v, lam, beta)
+        for edge in (lo, hi):
+            assume(not (0.0 < edge < math.inf and abs(h - edge) <= 1e-12 * edge))
+        assert (v > lam * h**beta) == (lo < h < hi)
+
+    @given(v=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8), beta=BETAS)
+    @settings(max_examples=200, deadline=None)
+    def test_edges_are_the_plain_powers(self, v, beta):
+        # an array's edges are numpy's power of the array, a float's the
+        # Python float power, bit for bit; a float gives scalars
+        assume(beta != 0.0)
+        arr = np.array(v)
+        lo, hi = member_window(arr, 0.7, beta)
+        assert np.array_equal(hi if beta > 0.0 else lo, (arr / 0.7) ** (1.0 / beta))
+        for vk in v:
+            slo, shi = member_window(vk, 0.7, beta)
+            assert np.ndim(slo) == np.ndim(shi) == 0
+            assert float(shi if beta > 0.0 else slo) == (vk / 0.7) ** (1.0 / beta)
 
 
 class TestCellWeight:
@@ -280,6 +346,18 @@ class TestTruncation:
         full = nu_measure(q).value
         wide = nu_measure(dataclasses.replace(q, annulus=(1e-9, 1e6))).value
         assert wide == pytest.approx(full, rel=0.01)
+
+    def test_annulus_cells_start_at_the_zero_cut(self):
+        # only pairs across a jump are members, and those with h < 1/sqrt(8)
+        # are: 2 directions x 2 jumps x the integral of h over [1e-3, 8^-1/2]
+        prof = make_standard("interval_indicator(1)").line_profile()
+        est = measure_line(prof, 1.0, 1.0, 8.0, h_window=(1e-3, 0.5))
+        assert est.evaluations == 0 and est.diagnostics["h_cut"] == math.inf
+        assert abs(est.value - (0.25 - 2e-6)) <= est.error
+        # on the tent the rule's cut (lam / L)^2 = 0.04 lies inside (0.01, 2)
+        tent = make_standard("tent").line_profile()
+        est = measure_line(tent, -0.5, -0.5, 0.2, h_window=(0.01, 2.0))
+        assert est.diagnostics["h_cut"] == pytest.approx(0.04, rel=1e-12)
 
     def test_annulus_monotone_in_width(self):
         tent = make_standard("tent")

@@ -202,8 +202,9 @@ def estimate_lipschitz(u: TestFunction, *, iterations: int = 10) -> float:
 
     nu_0 of the level set is infinite below the Lipschitz constant and finite
     above it.  The engine decides which, and bisection on lambda brackets
-    the transition.  A jump keeps the measure finite at every lambda, so
-    entries with jumps are rejected.
+    the transition; where it cannot decide, or the declared constant is
+    below a sampled slope, its ValueError propagates.  A jump keeps the
+    measure finite at every lambda, so entries with jumps are rejected.
     """
     if u.jumps:
         where = ", ".join(f"{loc:g}" for loc, _ in u.jumps)

@@ -13,10 +13,10 @@ The radii start at the cut of the near-diagonal rule the line engine uses,
 bounded verdict the mass below the cut, the rule's remainder times the sphere
 area, goes half into the value and half into the error bound; with no
 preview of the value, the remainder is aimed at ``rel_tol / 4``, the line
-engine's remainder target for a value of order one.  A probe verdict, which only
-the line engine's truncation probe settles, is reported as the divergence
-the rule predicts.  The error bound is three standard errors plus that half
-of the remainder.
+engine's remainder target for a value of order one.  A 'slope' cut (gamma = 0
+below the Lipschitz constant) takes the line engine's ``slope_verdict`` on the
+line profile, or on the central slice of a planar (radial) entry.  The error
+bound is three standard errors plus that half of the remainder.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .constants import sphere_area
 from .measure import LevelSetQuery, MeasureEstimate
 from .profiles import jump_structure
-from .quadrature import PRECISION_FLOOR, member_window, near_diagonal, shell_weight
+from .quadrature import PRECISION_FLOOR, member_window, near_diagonal, shell_weight, slope_verdict
 
 __all__ = ["measure_montecarlo"]
 
@@ -72,10 +72,14 @@ def measure_montecarlo(q: LevelSetQuery) -> MeasureEstimate:
     below = 0.0
     if d_lo > 0.0:
         r_lo = max(cut.h_cut, d_lo) if cut.kind == "zero" else d_lo
-    elif cut.kind in ("divergent", "probe"):
+    elif cut.kind in ("divergent", "slope"):
+        diag = {"reason": cut.reason}
+        if cut.kind == "slope":
+            prof = u.line_profile() if dim == 1 else u.slicer(0.0, 0.0)
+            diag["max_slope"] = slope_verdict(prof, beta, lam)
         return MeasureEstimate(
             value=math.inf, error_bound=math.inf, method="montecarlo",
-            seed=q.seed, diagnostics={"reason": cut.reason},
+            seed=q.seed, diagnostics=diag,
         )
     elif cut.kind == "zero":
         r_lo = cut.h_cut

@@ -30,12 +30,11 @@ membership is provably impossible or the bound on the mass below a cutoff,
 from the Lipschitz constant, the jump sizes and the sup norm.  The Monte
 Carlo backend uses the same rule.  The engine asks it three times: for the
 interior jumps, for the jumps at the support edges, and for declared
-interface points.  Regimes where the near-diagonal mass genuinely diverges
-are either detected outright or confirmed by a truncation-halving probe,
-which decides on the mass each halving of its lower edge adds.  At gamma = 0
-these verdicts are the ones ``analysis.estimate_lipschitz`` bisects on: the
-rule for lambda at or above the declared Lipschitz constant, the probe below
-it.
+interface points.  A divergent corner at a jump is its verdict outright.  At
+gamma = 0 below the declared Lipschitz constant, or with none, the slopes of
+f decide (``slope_verdict``): a ``max_slope`` above lambda proves the measure
+infinite, and a lambda in [max_slope, constant) raises ValueError as
+undecided.  These are the verdicts ``analysis.estimate_lipschitz`` bisects on.
 """
 
 from __future__ import annotations
@@ -53,17 +52,14 @@ __all__ = [
     "EngineEstimate",
     "BudgetExceededError",
     "NearCut",
+    "max_slope",
     "measure_line",
     "member_window",
     "near_diagonal",
     "shell_weight",
+    "slope_verdict",
 ]
 
-# A logarithmic divergence adds the same mass at every halving of the
-# probe's lower edge; a tail that scales like h^a adds 4^-a as much after
-# two halvings, 1/4 for the corner mass at a jump and 0 where the Lipschitz
-# constant is loose.  The last increment against the first decides.
-DIVERGENT_INCREMENT_RATIO = 0.5
 PRECISION_FLOOR = 1e-250  # below this h, double precision cannot see membership
 MAX_CELLS = 250_000       # most cells one refinement round hands to the next
 _BLOCK = 4096             # cells sampled per block of a refinement round
@@ -228,8 +224,8 @@ class NearCut:
     ``kind`` is 'zero' (no pair closer than ``h_cut`` is a member), 'bounded'
     (the member mass below h is at most ``remainder(h)``, and
     ``cut_for(target)`` is a cut whose remainder is about ``target``),
-    'divergent' (the corner mass at a jump is infinite) or 'probe' (the rule
-    cannot decide; only a truncation probe can).  Remainders count the pairs
+    'divergent' (the corner mass at a jump is infinite) or 'slope' (only the
+    slopes of f decide, ``slope_verdict``).  Remainders count the pairs
     (x, x + h omega) of one direction omega, so a line engine doubles them and
     an N-dimensional one multiplies them by the sphere area.
     """
@@ -280,21 +276,15 @@ def near_diagonal(
         if L == 0.0:
             return NearCut("zero", h_cut=gap)
         if math.isinf(L):
-            return NearCut("probe", reason="unknown Lipschitz constant at b=-1")
+            return NearCut("slope", reason="unknown Lipschitz constant at b=-1")
         return NearCut("zero", h_cut=min((lam - jump) / L, gap))
 
     if beta <= 1.0 or L == 0.0:
         # below h_s the continuous part alone cannot reach the threshold; with
         # no continuous part only pairs across a jump can be members
         if beta == 1.0:
-            if math.isinf(L):
-                return NearCut("probe", reason="unknown Lipschitz constant at gamma=0")
             if lam < L:
-                return NearCut(
-                    "probe",
-                    reason=f"lambda={lam:g} below the Lipschitz constant {L:g} at gamma=0: "
-                    "the dichotomy predicts divergence",
-                )
+                return NearCut("slope", reason=f"lambda={lam!r} below the Lipschitz constant {L!r}")
             h_s = math.inf
         elif L == 0.0:
             h_s = math.inf
@@ -331,6 +321,45 @@ def near_diagonal(
         return (target * _g / (_e + 1.0)) ** (1.0 / _g)
 
     return NearCut("bounded", remainder=rem2, cut_for=cut_for2)
+
+
+def max_slope(profile: LineProfile, within=(-math.inf, math.inf)) -> float:
+    """The largest slope of f that the plateau grid shows on ``within``, less rounding.
+
+    Over neighbouring grid points a < b with no declared jump in [a, b]: the
+    largest (|f(b) - f(a)| - 8 eps sup|f|) / (b - a), or 0.  f is absolutely
+    continuous there, so |f'| exceeds any smaller lambda on a set of positive
+    measure, and no declared Lipschitz constant may be below it.
+    """
+    xs = np.unique(np.clip(_graded_grid(profile), *within))
+    a, b = xs[:-1], xs[1:]
+    free = np.ones(len(a), dtype=bool)
+    for loc, _ in profile.jumps:
+        free &= (b < loc) | (loc < a)
+    rise = np.abs(np.diff(profile.f(xs))) - 8.0 * np.finfo(float).eps * profile.sup
+    return float(np.max(rise[free] / (b - a)[free], initial=0.0))
+
+
+def slope_verdict(profile: LineProfile, beta: float, lam: float, within=(-math.inf, math.inf)):
+    """Decide a 'slope' cut: the ``max_slope`` above lambda that makes the measure infinite.
+
+    Raises ValueError where that slope exceeds the declared Lipschitz
+    constant, and where the verdict is undecided: lambda in [slope,
+    constant), or b = -1 with the constant unknown.
+    """
+    if beta != 1.0:
+        raise ValueError(f"undecided: lambda={lam!r} at b=-1 with an unknown Lipschitz constant")
+    slope, L = max_slope(profile, within), profile.lipschitz
+    if slope > L:
+        raise ValueError(
+            f"the sampled slope {slope!r} exceeds the declared Lipschitz constant {L!r}"
+        )
+    if slope <= lam:
+        raise ValueError(
+            f"undecided at gamma=0: lambda={lam!r} lies between the sampled slope {slope!r} "
+            f"and the Lipschitz constant {L!r}"
+        )
+    return slope
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +654,10 @@ def measure_line(
     terms, whose Lipschitz constants are astronomically large).
 
     ``budget`` caps the stencil-pair evaluations of the whole query: the
-    preview, both interior passes and every probe pass draw on one counter,
-    no pass samples a round that would overrun it, and a query that runs out
-    raises ``BudgetExceededError`` carrying the partial estimate.
+    preview and both interior passes draw on one counter, no pass samples a
+    round that would overrun it, and a query that runs out raises
+    ``BudgetExceededError`` carrying the partial estimate.  The gamma = 0
+    verdict below the Lipschitz constant (``slope_verdict``) samples no pair.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
@@ -699,6 +729,10 @@ def measure_line(
     for c in cuts:
         if c.kind == "divergent" and h_lo == 0.0:
             return EngineEstimate(math.inf, math.inf, diagnostics={"reason": c.reason})
+    if cut.kind == "slope" and h_lo == 0.0:
+        slope = slope_verdict(profile, beta, lam, (box_lo, box_hi))
+        diag = {"reason": cut.reason, "max_slope": slope}
+        return EngineEstimate(math.inf, math.inf, diagnostics=diag)
 
     if boxed:
         h_hi = min(h_hi, box_hi - box_lo)
@@ -711,11 +745,11 @@ def measure_line(
     evals = 0  # stencil-pair evaluations of the whole query
     exhausted = False
 
-    def run_cells(cell_lo, cell_top, target):
+    def run_cells(cell_lo, target):
         nonlocal evals, exhausted
-        if cell_lo >= cell_top or x_lo >= x_hi:
+        if cell_lo >= cells_hi or x_lo >= x_hi:
             return 0.0, 0.0, 0
-        cells = _initial_cells(profile, x_lo, x_hi, cell_lo, cell_top, top)
+        cells = _initial_cells(profile, x_lo, x_hi, cell_lo, cells_hi, top)
         inside, unresolved, spent, rounds, exhausted = _refine(
             member, cells, gamma, target, budget - evals, top
         )
@@ -734,46 +768,6 @@ def measure_line(
         except _Divergent as d:
             return EngineEstimate(math.inf, math.inf, diagnostics={"reason": d.reason})
 
-    # --- probe path: confirm or refute near-diagonal divergence ------------
-    if cut.kind == "probe" and h_lo == 0.0:
-        probe_target = 5e-3 * max(tail_v, 1.0)
-        d0 = max(profile.span, 1.0) / 64.0
-        base_in, base_un, _ = run_cells(d0, cells_hi, probe_target)
-        total = base_in + 0.5 * base_un + tail_v
-        vals = [total]
-        lo_edge = d0
-        for _ in range(3):
-            if exhausted:
-                break
-            nxt = lo_edge / 2.0
-            inc_in, inc_un, _ = run_cells(nxt, lo_edge, probe_target)
-            total += inc_in + 0.5 * inc_un
-            vals.append(total)
-            lo_edge = nxt
-        increments = [v2 - v1 for v1, v2 in zip(vals, vals[1:])]
-        diag["probe_values"] = vals
-        diag["probe_increments"] = increments
-        diag["reason"] = cut.reason
-        if exhausted:
-            # the mass below the last truncation is unknown, maybe infinite
-            diag["probe"] = "budget exhausted"
-            raise BudgetExceededError(
-                f"evaluation budget {budget} exhausted during the divergence probe",
-                EngineEstimate(
-                    2.0 * total, math.inf, evaluations=evals, tail=2.0 * tail_v,
-                    diagnostics=diag,
-                ),
-            )
-        last = increments[-1]
-        if last > 0.0 and last >= DIVERGENT_INCREMENT_RATIO * increments[0]:
-            diag["probe"] = "confirmed divergent"
-            return EngineEstimate(math.inf, math.inf, evaluations=evals, diagnostics=diag)
-        diag["probe"] = "stabilized"
-        err = max(last, 0.0) * 4.0 + 0.5 * base_un + tail_e
-        return EngineEstimate(
-            2.0 * vals[-1], 2.0 * err, evaluations=evals, tail=2.0 * tail_v, diagnostics=diag
-        )
-
     # --- near cutoff --------------------------------------------------------
     rem = 0.0
     rounds = 0
@@ -785,7 +779,7 @@ def measure_line(
     else:
         guess = max(rel_tol * max(tail_v, 1.0), 1e-12)
         pv_lo = max(cut.cut_for(guess), PRECISION_FLOOR)
-        pv_in, pv_un, rounds = run_cells(pv_lo, cells_hi, 8.0 * guess)
+        pv_in, pv_un, rounds = run_cells(pv_lo, 8.0 * guess)
         scale = pv_in + 0.5 * pv_un + tail_v
         diag["preview_value"] = scale
         target_rem = rel_tol * scale / 4.0
@@ -804,11 +798,11 @@ def measure_line(
         inside, unresolved, cell_lo, rem = pv_in, pv_un, pv_lo, cut.remainder(pv_lo)
     else:
         target1 = rel_tol * max(tail_v, 1.0) / 2.0
-        inside, unresolved, rounds = run_cells(cell_lo, cells_hi, target1)
+        inside, unresolved, rounds = run_cells(cell_lo, target1)
         scale = inside + 0.5 * unresolved + 0.5 * rem + tail_v
         target2 = rel_tol * scale / 2.0
         if not exhausted and unresolved > target2 and scale > 0:
-            inside, unresolved, rounds = run_cells(cell_lo, cells_hi, target2)
+            inside, unresolved, rounds = run_cells(cell_lo, target2)
 
     diag["h_cut"] = cell_lo
     diag["near_remainder"] = rem

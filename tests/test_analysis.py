@@ -1,5 +1,6 @@
 """Experiment layer: classification, sweeps, recovery, growth, energy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,6 +137,19 @@ class TestLipschitzRecovery:
     def test_tent_brackets_from_below(self):
         # every lambda below the declared constant 1 reads infinite
         assert 0.999 <= estimate_lipschitz(make_standard("tent")) <= 1.0
+
+    def test_a_constant_below_the_sampled_slope_fails_loudly(self):
+        tent = dataclasses.replace(make_standard("tent"), lip=0.5)
+        with pytest.raises(
+            ValueError, match=r"sampled slope 0\.99999.* exceeds the declared Lipschitz constant 0\.5"
+        ):
+            estimate_lipschitz(tent)
+
+    def test_a_loose_constant_leaves_its_band_undecided(self):
+        # lambda = 1 lies in [max_slope, 1.25): the engine says so at once
+        tent = dataclasses.replace(make_standard("tent"), lip=1.25)
+        with pytest.raises(ValueError, match=r"undecided at gamma=0: lambda=1\.0 "):
+            estimate_lipschitz(tent)
 
     @pytest.mark.parametrize("fid", ["interval_indicator(1)", "halfline_step"])
     def test_jumps_are_rejected(self, fid):

@@ -21,6 +21,7 @@ from slopelab.catalog import (
     smoothstep,
     smoothstep_deriv,
 )
+from slopelab.quadrature import max_slope
 
 RNG = np.random.default_rng(20240817)
 
@@ -479,6 +480,34 @@ class TestDeclaredEdgeJumps:
         assert edge_mismatches(replace(prof, jumps=((0.0, 0.5), (1.0, 1.0)))) == [
             "lo: declared 0.5, the profile jumps by 1.0"
         ]
+
+
+def slope_excess(prof):
+    """Where the slope the plateau grid shows exceeds the declared Lipschitz constant."""
+    slope = max_slope(prof)
+    return [f"slope {slope!r} > {prof.lipschitz!r}"] if slope > prof.lipschitz else []
+
+
+class TestDeclaredLipschitz:
+    def test_line_entries(self):
+        entries = dict(_line_entries())
+        assert len(entries) == 6 * len(LINE_IDS) + 9
+        assert {name: m for name, prof in entries.items() if (m := slope_excess(prof))} == {}
+
+    def test_rotation_slices(self):
+        slices = dict(_slices())
+        assert len(slices) > 200
+        assert {name: m for name, prof in slices.items() if (m := slope_excess(prof))} == {}
+
+    def test_the_check_sees_a_constant_below_the_slope(self):
+        prof = make_standard("tent").line_profile()
+        assert slope_excess(replace(prof, lipschitz=0.5)) != []
+
+    def test_rounding_margin_on_the_finest_intervals(self):
+        # the grid's intervals near the kinks are about 3e-15 wide, where
+        # rounding alone moves the bare quotient of linear_ramp(3) to 3.03
+        slope = max_slope(make_standard("linear_ramp(3)").line_profile())
+        assert 3.0 * (1.0 - 1e-11) < slope <= 3.0
 
 
 class TestJumpValidation:

@@ -184,6 +184,17 @@ class TestExitCodes:
         assert code == EXIT_BAD_CONFIG
         assert "jumps at x = 0" in capsys.readouterr().err
 
+    def test_undecided_zero_exponent_is_config_error(self, tmp_path, capsys):
+        # lambda lies between the sampled slope and the declared constant
+        argv = ["measure", "--fn", "tent", "--gamma", "0", "--lambda", "0.9999999999999"]
+        code, out, _ = run(tmp_path, "undecided", argv)
+        assert code == EXIT_BAD_CONFIG
+        assert (
+            "undecided at gamma=0: lambda=0.9999999999999 lies between the sampled slope "
+            "0.999999999998181 and the Lipschitz constant 1.0"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_where_finite_required(self, tmp_path):
         code, _, _ = run(
             tmp_path,

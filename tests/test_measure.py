@@ -415,13 +415,13 @@ class TestSentinels:
         assert "probe" in est.diagnostics or "reason" in est.diagnostics
 
     def test_zero_exponent_divergence_under_a_plateau_mass(self):
-        # a logarithmic divergence raises the total by under 10% per halving
-        # here, because the plateau mass is large; the increments stay level
+        # the plateau mass is large here, but the verdict reads only the slopes
         est = nu_measure(
             LevelSetQuery(u=get("mollified_indicator(4)"), params=P(0.0), lam=1.5)
         )
         assert est.infinite
-        assert est.diagnostics["probe"] == "confirmed divergent"
+        assert est.diagnostics["max_slope"] > 1.5
+        assert est.evaluations == 0
 
     def test_zero_exponent_above_lipschitz_vanishes(self):
         tent = make_standard("tent")
@@ -456,6 +456,38 @@ class TestSentinels:
         assert err.value.partial.value >= 0.0
 
 
+class TestSlopeVerdict:
+    # at gamma = 0 below the declared Lipschitz constant L the slopes of f
+    # decide; on these entries the plateau grid shows a slope within 1% of L
+    PROFILES = {
+        **{
+            fid: (lambda fid=fid: get(fid).line_profile())
+            for fid in ("tent", "linear_ramp(3)", "smooth_bump", "mollified_indicator(2)",
+                        "mollified_indicator(3)", "mollified_indicator(4)")
+        },
+        **{
+            f"staircase(m={m})": (
+                lambda m=m: staircase_function(CantorSpec(gamma=-0.5, m=m)).line_profile()
+            )
+            for m in range(4)
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_infinite_below_the_constant_and_finite_at_it(self, name):
+        prof = self.PROFILES[name]()
+        lam = (1.0 - 1e-2) * prof.lipschitz
+        below = measure_line(prof, 0.0, 0.0, lam)
+        assert below.infinite and below.evaluations == 0
+        assert lam < below.diagnostics["max_slope"] <= prof.lipschitz
+        assert math.isfinite(measure_line(prof, 0.0, 0.0, prof.lipschitz).value)
+
+    def test_unknown_constant_at_b_minus_one_is_undecided(self):
+        u = dataclasses.replace(make_standard("tent"), lip=None)
+        with pytest.raises(ValueError, match=r"undecided: lambda=0\.5 at b=-1"):
+            nu_measure(LevelSetQuery(u=u, params=P(-1.0), lam=0.5))
+
+
 class TestSharedVertexSampling:
     # (value, error_bound, evaluations) from a full 3x3 sampling of every
     # cell, with cells clipped to x + h < hi (x + h <= 1 for box_measure)
@@ -478,18 +510,6 @@ class TestSharedVertexSampling:
                 LevelSetQuery(u=get("mollified_indicator(4)"), params=P(-2.0), lam=0.5)
             ),
             ("0x1.c7d47b3da3d0ap+3", "0x1.35ff693e004f0p-7", 454266),
-        ),
-        # the probe path where it stabilizes: with the Lipschitz constant
-        # unknown the probe runs, and its increments are exactly 0
-        "stabilized": (
-            lambda: nu_measure(
-                LevelSetQuery(
-                    u=dataclasses.replace(make_standard("interval_indicator(1)"), lip=None),
-                    params=P(0.0),
-                    lam=0.5,
-                )
-            ),
-            ("0x1.b172d46a504b0p+2", "0x1.e0e3712840000p-14", 28917),
         ),
         # b = -1 with no Lipschitz part: zero from the near-diagonal cut alone
         "indicator_b=-1": (
@@ -530,6 +550,13 @@ class TestSharedVertexSampling:
         assert est.value == float.fromhex(value)
         assert error_bound == float.fromhex(error)
         assert est.evaluations == evaluations
+
+    def test_unknown_lipschitz_constant_without_slope_is_undecided(self):
+        # no slope shows between the indicator's jumps, and with the Lipschitz
+        # constant unknown nothing bounds the near-diagonal mass
+        u = dataclasses.replace(make_standard("interval_indicator(1)"), lip=None)
+        with pytest.raises(ValueError, match=r"undecided at gamma=0: lambda=0\.5 .* slope 0\.0 "):
+            nu_measure(LevelSetQuery(u=u, params=P(0.0), lam=0.5))
 
     def test_region_with_narrow_window_pinned(self):
         # a region predicate and an annulus only slightly wider than the
@@ -645,15 +672,12 @@ class TestStaircaseLadder:
 
 
 class TestBudgetPerQuery:
-    def test_probe_exhaustion_raises_with_partial(self):
-        # 2,000 evaluations cannot settle divergence: the probe must say
-        # so rather than return inf
+    def test_slope_verdict_spends_no_budget(self):
+        # the gamma = 0 verdict below the Lipschitz constant samples no pair
         tent = make_standard("tent")
-        with pytest.raises(BudgetExceededError) as err:
-            nu_measure(LevelSetQuery(u=tent, params=P(0.0), lam=0.5, budget=2000))
-        partial = err.value.partial
-        assert math.isfinite(partial.value) and partial.value > 0.0
-        assert partial.diagnostics["probe"] == "budget exhausted"
+        est = nu_measure(LevelSetQuery(u=tent, params=P(0.0), lam=0.5, budget=2000))
+        assert est.infinite
+        assert est.evaluations == 0
 
     @pytest.mark.parametrize("budget", [2_000, 50_000, 130_793, 250_000, 527_778, 2_000_000])
     def test_evaluations_within_budget_unless_raised(self, budget):

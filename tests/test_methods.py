@@ -149,6 +149,22 @@ class TestVerdicts2D:
             assert est.value == est.error_bound == 0.0
 
 
+class TestSlopeVerdict2D:
+    # at gamma = 0 rotation2d reads the slope of its central slice first, and
+    # Monte Carlo reads the same slice
+    @pytest.mark.parametrize("method", ["rotation2d", "montecarlo"])
+    @pytest.mark.parametrize("factor,infinite", [(0.5, True), (1.5, False)])
+    def test_smooth_bump(self, method, factor, infinite):
+        bump = make_standard("smooth_bump", dim=2)
+        est = nu_measure(LevelSetQuery(u=bump, params=P(0.0, 1.0, dim=2), lam=factor * bump.lip,
+                                       method=method, seed=1))
+        if infinite:
+            assert est.value == est.error_bound == math.inf
+            assert "below the Lipschitz constant" in est.diagnostics["reason"]
+        else:
+            assert est.value == est.error_bound == 0.0
+
+
 class TestMonteCarlo:
     def test_seed_reproducibility(self):
         tent = make_standard("tent")

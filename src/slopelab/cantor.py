@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import SMOOTHSTEP_PEAK, TestFunction, shift, smoothstep, smoothstep_deriv
+from .catalog import (
+    SMOOTHSTEP_PEAK, TestFunction, gauss_legendre, shift, smoothstep, smoothstep_deriv,
+)
 
 __all__ = [
     "CantorSpec",
@@ -173,14 +175,7 @@ def staircase_function(spec: CantorSpec) -> TestFunction:
 
 
 def _base_grad_lp(spec: CantorSpec, p: float) -> float:
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda t: abs(float(spec.g0_deriv(np.array([t]))[0])) ** p,
-        spec.rho,
-        1.0 - spec.rho,
-        limit=200,
-    )
+    val = gauss_legendre(lambda t: np.abs(spec.g0_deriv(t)) ** p, spec.rho, 1.0 - spec.rho)
     return float(val ** (1.0 / p))
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "smoothstep",
     "smoothstep_deriv",
     "SMOOTHSTEP_PEAK",
+    "gauss_legendre",
     "STANDARD_IDS",
 ]
 
@@ -87,6 +88,34 @@ def smoothstep_deriv(s):
 
 
 SMOOTHSTEP_PEAK = 2.0  # max of smoothstep_deriv, attained at s = 1/2
+
+
+@lru_cache(maxsize=None)
+def _unit_rule():
+    """Nodes and weights on [0, 1]: 32-point Gauss-Legendre on 16 uniform panels.
+
+    The first panel is cut at 2^-1, ..., 2^-49 of its width, so the rule
+    also resolves an r^p branch at 0.
+    """
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.concatenate(([0.0], 2.0 ** np.arange(-49.0, 1.0), np.arange(2.0, 17.0))) / 16.0
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def gauss_legendre(f, lo, hi) -> float:
+    """The integral of the vectorized ``f`` over [lo, hi], graded toward ``lo``.
+
+    The gradient norms integrate |u'|^p over a radial collar or a staircase
+    step.  Their integrands are smooth inside, flat where a C-infinity
+    transition ends, and behave like r^p at a radial centre, where a
+    non-integer p leaves a branch point; the geometric panels at ``lo``
+    resolve it.  Against mpmath the norms agree to a few ulps.
+    """
+    t, w = _unit_rule()
+    width = hi - lo
+    return float(width * np.dot(w, f(lo + width * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +264,8 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
         out[inside] = (deriv(ri) * (x[inside].T / ri)).T
         return out
 
-    @lru_cache(maxsize=None)
     def grad_lp(p):
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda r: abs(float(deriv(r))) ** p * r ** (dim - 1), flat_to, radius, limit=200
-        )
+        val = gauss_legendre(lambda r: np.abs(deriv(r)) ** p * r ** (dim - 1), flat_to, radius)
         return float((area * val) ** (1.0 / p))
 
     def slicer(theta, offset):

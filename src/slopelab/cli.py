@@ -6,9 +6,11 @@ or the literal token ``inf``, and (b) a JSON sidecar holding the full
 configuration, library versions, timings, and the provenance of any reference
 values, so a run can be reproduced from the sidecar alone.
 
-Exit codes: 0 success; 2 invalid configuration; 3 evaluation budget exceeded
-(partial results are flagged in the sidecar); 4 an infinite-measure sentinel
-where a finite value was required.
+Exit codes: 0 success; 2 invalid configuration, or a gamma = 0 verdict the
+sampled slopes leave undecided (``quadrature.UndecidedError``, printed as
+"error: undecided ..."); 3 evaluation budget exceeded (partial results are
+flagged in the sidecar); 4 an infinite-measure sentinel where a finite value
+was required.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from . import __version__, analysis, catalog, constants
 from .cantor import BlockCapError, counterexample_series
 from .measure import BudgetExceededError, LevelSetQuery, nu_measure
 from .params import Params
+from .quadrature import UndecidedError
 from .stopping import stopping_intervals
 
 EXIT_OK = 0
@@ -408,6 +411,9 @@ def main(argv=None) -> int:
     extra: dict = {}
     try:
         header, rows, extra = COMMANDS[command](args)
+    except UndecidedError as exc:  # a valid query, not a configuration fault
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except (ConfigError, BlockCapError, KeyError, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -33,15 +33,13 @@ def kappa(p: float, dim: int) -> float:
     _check_dim(dim)
     if dim == 1:
         return 2.0
-    from scipy.special import gammaln
-
     log_val = (
         math.log(2.0)
-        + gammaln((p + 1.0) / 2.0)
+        + math.lgamma((p + 1.0) / 2.0)
         + 0.5 * (dim - 1) * math.log(math.pi)
-        - gammaln((dim + p) / 2.0)
+        - math.lgamma((dim + p) / 2.0)
     )
-    return float(math.exp(log_val))
+    return math.exp(log_val)
 
 
 def sphere_area(dim: int) -> float:
@@ -54,9 +52,7 @@ def sphere_area(dim: int) -> float:
     _check_dim(dim)
     if dim == 1:
         return 2.0
-    from scipy.special import gammaln
-
-    return float(math.exp(math.log(2.0) + 0.5 * dim * math.log(math.pi) - gammaln(dim / 2.0)))
+    return math.exp(math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(dim / 2.0))
 
 
 def halfline_closed_form(gamma: float, lam: float) -> float:

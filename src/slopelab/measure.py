@@ -31,6 +31,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelSetQuery:
+    """One measure query.
+
+    ``mc_samples`` is the Monte Carlo sample target, not a cap: the radial
+    strata share it by weight, and each draws at least 64 samples
+    (``mc_samples=1`` on ``tent`` at gamma = 1, lambda = 8 draws 384 over
+    6 strata).
+    """
+
     u: TestFunction
     params: Params
     lam: float

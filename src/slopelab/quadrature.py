@@ -33,8 +33,8 @@ interior jumps, for the jumps at the support edges, and for declared
 interface points.  A divergent corner at a jump is its verdict outright.  At
 gamma = 0 below the declared Lipschitz constant, or with none, the slopes of
 f decide (``slope_verdict``): a ``max_slope`` above lambda proves the measure
-infinite, and a lambda in [max_slope, constant) raises ValueError as
-undecided.  These are the verdicts ``analysis.estimate_lipschitz`` bisects on.
+infinite, and a lambda in [max_slope, constant) raises ``UndecidedError``, a
+ValueError.  These are the verdicts ``analysis.estimate_lipschitz`` bisects on.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ __all__ = [
     "near_diagonal",
     "shell_weight",
     "slope_verdict",
+    "UndecidedError",
 ]
 
 PRECISION_FLOOR = 1e-250  # below this h, double precision cannot see membership
@@ -96,6 +97,10 @@ def check_controls(rel_tol, budget) -> None:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if not (isinstance(budget, numbers.Integral) and budget >= 0):
         raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
+
+
+class UndecidedError(ValueError):
+    """A valid gamma = 0 query whose verdict the sampled slopes cannot decide."""
 
 
 class _Divergent(Exception):
@@ -344,18 +349,21 @@ def slope_verdict(profile: LineProfile, beta: float, lam: float, within=(-math.i
     """Decide a 'slope' cut: the ``max_slope`` above lambda that makes the measure infinite.
 
     Raises ValueError where that slope exceeds the declared Lipschitz
-    constant, and where the verdict is undecided: lambda in [slope,
-    constant), or b = -1 with the constant unknown.
+    constant, and its subclass UndecidedError where the verdict is
+    undecided: lambda in [slope, constant), or b = -1 with the constant
+    unknown.
     """
     if beta != 1.0:
-        raise ValueError(f"undecided: lambda={lam!r} at b=-1 with an unknown Lipschitz constant")
+        raise UndecidedError(
+            f"undecided: lambda={lam!r} at b=-1 with an unknown Lipschitz constant"
+        )
     slope, L = max_slope(profile, within), profile.lipschitz
     if slope > L:
         raise ValueError(
             f"the sampled slope {slope!r} exceeds the declared Lipschitz constant {L!r}"
         )
     if slope <= lam:
-        raise ValueError(
+        raise UndecidedError(
             f"undecided at gamma=0: lambda={lam!r} lies between the sampled slope {slope!r} "
             f"and the Lipschitz constant {L!r}"
         )

@@ -90,7 +90,7 @@ def measure_rotation2d(q: LevelSetQuery) -> MeasureEstimate:
                 value=math.inf,
                 error_bound=math.inf,
                 method="rotation2d",
-                diagnostics={"reason": est.diagnostics.get("reason", "divergent slice")},
+                diagnostics=dict(est.diagnostics),  # the reason; max_slope if the slopes decided
             )
         values[j] = est.value
         errors[j] = est.error

@@ -21,6 +21,7 @@ from slopelab.analysis import (
 from slopelab import catalog
 from slopelab.catalog import make_standard
 from slopelab.params import Params
+from slopelab.quadrature import UndecidedError
 
 
 def P(gamma, p=1.0):
@@ -142,13 +143,14 @@ class TestLipschitzRecovery:
         tent = dataclasses.replace(make_standard("tent"), lip=0.5)
         with pytest.raises(
             ValueError, match=r"sampled slope 0\.99999.* exceeds the declared Lipschitz constant 0\.5"
-        ):
+        ) as excinfo:
             estimate_lipschitz(tent)
+        assert not isinstance(excinfo.value, UndecidedError)  # a faulty declaration
 
     def test_a_loose_constant_leaves_its_band_undecided(self):
         # lambda = 1 lies in [max_slope, 1.25): the engine says so at once
         tent = dataclasses.replace(make_standard("tent"), lip=1.25)
-        with pytest.raises(ValueError, match=r"undecided at gamma=0: lambda=1\.0 "):
+        with pytest.raises(UndecidedError, match=r"undecided at gamma=0: lambda=1\.0 "):
             estimate_lipschitz(tent)
 
     @pytest.mark.parametrize("fid", ["interval_indicator(1)", "halfline_step"])

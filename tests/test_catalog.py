@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -255,6 +256,68 @@ class TestRadialPlane:
     def test_three_dimensions_are_rejected(self, fid):
         with pytest.raises(ValueError, match="supports dim 1 or 2, got 3"):
             get(fid, dim=3)
+
+
+class TestGradientNormsAgainstMpmath:
+    """The Gauss-Legendre gradient norms against mpmath.quad at 30 digits.
+
+    Each reference integrates the closed form of |u'|^p, written out here in
+    mpmath, so it shares no code with the rule it checks.
+    """
+
+    RTOL = 1e-13
+
+    @staticmethod
+    def step_deriv(s):
+        """The derivative of smoothstep, ab (1/s^2 + 1/(1-s)^2) / (a+b)^2."""
+        a, b = mpmath.exp(-1 / s), mpmath.exp(-1 / (1 - s))
+        return a * b * (1 / s**2 + 1 / (1 - s) ** 2) / (a + b) ** 2
+
+    @staticmethod
+    def norm(integral, dim, p):
+        area = 2 if dim == 1 else 2 * mpmath.pi
+        return float((area * integral) ** (1 / mpmath.mpf(p)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_smooth_bump(self, dim):
+        u = make_standard("smooth_bump", dim=dim)
+        with mpmath.workdps(30):
+            for p in (1.0, 1.5, 2.0, 3.0):
+                integral = mpmath.quad(
+                    lambda r: (2 * r / (1 - r * r) ** 2 * mpmath.exp(-1 / (1 - r * r))) ** p
+                    * r ** (dim - 1),
+                    [0, 0.5, 1],
+                )
+                assert u.grad_lp(p) == pytest.approx(self.norm(integral, dim, p), rel=self.RTOL)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_mollified_indicator(self, m, dim):
+        # u = 2 smoothstep((outer - r) / width) on the collar; s = (outer - r) / width
+        u = mollified_indicator(m, dim=dim)
+        with mpmath.workdps(30):
+            eps = mpmath.mpf(2) ** -m
+            width, outer = 2 * eps, 1 + eps
+            for p in (1.0, 2.0):
+                integral = mpmath.quad(
+                    lambda s: (2 * self.step_deriv(s) / width) ** p
+                    * (outer - width * s) ** (dim - 1) * width,
+                    [0, 0.5, 1],
+                )
+                assert u.grad_lp(p) == pytest.approx(self.norm(integral, dim, p), rel=self.RTOL)
+
+    def test_staircase_base(self):
+        # generation 0 is the base step g0 = smoothstep((x - rho) / (1 - 2 rho))
+        spec = CantorSpec(gamma=-0.5, m=0)
+        u = staircase_function(spec)
+        with mpmath.workdps(30):
+            width = 1 - 2 * mpmath.mpf(spec.rho)
+            for p in (1.0, 2.0):
+                integral = mpmath.quad(
+                    lambda s: (self.step_deriv(s) / width) ** p * width, [0, 0.5, 1]
+                )
+                ref = float(integral ** (1 / mpmath.mpf(p)))
+                assert u.grad_lp(p) == pytest.approx(ref, rel=self.RTOL)
 
 
 class TestIndicatorsAndRamps:

@@ -184,15 +184,16 @@ class TestExitCodes:
         assert code == EXIT_BAD_CONFIG
         assert "jumps at x = 0" in capsys.readouterr().err
 
-    def test_undecided_zero_exponent_is_config_error(self, tmp_path, capsys):
-        # lambda lies between the sampled slope and the declared constant
+    def test_undecided_zero_exponent_exits_2_as_undecided(self, tmp_path, capsys):
+        # lambda lies between the sampled slope and the declared constant: a
+        # valid query the engine will not guess on, not a configuration fault
         argv = ["measure", "--fn", "tent", "--gamma", "0", "--lambda", "0.9999999999999"]
         code, out, _ = run(tmp_path, "undecided", argv)
         assert code == EXIT_BAD_CONFIG
-        assert (
-            "undecided at gamma=0: lambda=0.9999999999999 lies between the sampled slope "
-            "0.999999999998181 and the Lipschitz constant 1.0"
-        ) in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: undecided at gamma=0: lambda=0.9999999999999 lies between the sampled "
+            "slope 0.999999999998181 and the Lipschitz constant 1.0\n"
+        )
         assert not out.exists()
 
     def test_infinite_where_finite_required(self, tmp_path):

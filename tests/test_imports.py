@@ -1,9 +1,10 @@
-"""The line engine, the staircases and the 1-D CLI commands start without scipy.
+"""slopelab runs without scipy everywhere but the stopping decomposition.
 
-scipy serves only the reference sides of the formulas (gradient norms by
-adaptive quadrature, kappa(p, N >= 2) through log-gamma) and the stopping
-decomposition, and each of those loads it where it is called.  Each check
-runs in a fresh interpreter, because the rest of the suite imports scipy.
+The line engine, the staircases, the planar entries, both planar engines,
+the gradient norms (a numpy Gauss-Legendre rule) and kappa (math.lgamma)
+load none of it; ``stopping_intervals`` loads scipy's ``quad`` and ``brentq``
+where it is called.  Each check runs in a fresh interpreter, because the rest
+of the suite imports scipy.
 """
 
 import json
@@ -56,19 +57,50 @@ def test_line_engine_staircases_and_cli_measure_load_no_scipy(tmp_path):
     assert run_fresh(LINE_WORK, str(tmp_path / "measure.csv")) == []
 
 
-ON_DEMAND = """
+PLANAR_WORK = """
 import json, math, sys
+import numpy as np
 from slopelab import catalog, constants
+from slopelab.cantor import CantorSpec, staircase_function
+from slopelab.measure import LevelSetQuery, nu_measure
+from slopelab.params import Params
+
+for dim in (2, 3):
+    for p in (1.0, 1.5, 2.0):
+        assert math.isfinite(constants.kappa(p, dim))
+assert abs(constants.sphere_area(3) - 4.0 * math.pi) < 1e-12
+for u in (catalog.make_standard("smooth_bump", dim=2), catalog.mollified_indicator(3, dim=2)):
+    assert u.grad_l1 == u.grad_lp(1.0)
+    assert all(0.0 < u.grad_lp(p) < math.inf for p in (1.0, 1.5, 2.0))
+ball = catalog.make_standard("ball_indicator", dim=2)
+assert ball.grad_l1 is None and ball.grad_lp is None
+assert 0.0 < catalog.make_standard("smooth_bump").grad_lp(2.0) < math.inf
+assert 0.0 < staircase_function(CantorSpec(gamma=-0.5, m=2)).grad_lp(2.0) < math.inf
+params = Params(dim=2, p=1.0, gamma=1.0)
+for method in ("rotation2d", "montecarlo"):
+    est = nu_measure(LevelSetQuery(u=ball, params=params, lam=4.0, method=method,
+                                   rel_tol=0.1, mc_samples=20_000))
+    assert np.isfinite(est.value), est
+print(json.dumps(sorted(m for m in %r if m in sys.modules)))
+""" % (SCIPY_PARTS,)
+
+
+def test_planar_entries_norms_constants_and_engines_load_no_scipy():
+    assert run_fresh(PLANAR_WORK) == []
+
+
+STOPPING = """
+import json, sys
+from slopelab.stopping import stopping_intervals
 
 before = sorted(m for m in %r if m in sys.modules)
-assert abs(constants.kappa(2, 2) - math.pi) < 1e-12
-bump = catalog.make_standard("smooth_bump", dim=2)
-assert 0.0 < bump.grad_l1 < math.inf
+dec = stopping_intervals(lambda x: 1.0, (0.0, 1.0), -2.0, breakpoints=(0.0, 1.0))
+assert dec.k == 2
 print(json.dumps([before, sorted(m for m in %r if m in sys.modules)]))
 """ % (SCIPY_PARTS, SCIPY_PARTS)
 
 
-def test_planar_norms_and_kappa_load_scipy_on_demand():
-    before, after = run_fresh(ON_DEMAND)
+def test_stopping_decomposition_loads_scipy_on_demand():
+    before, after = run_fresh(STOPPING)
     assert before == []
-    assert {"scipy.special", "scipy.integrate"} <= set(after)
+    assert {"scipy.integrate", "scipy.optimize"} <= set(after)

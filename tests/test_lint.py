@@ -136,9 +136,8 @@ def test_the_check_sees_eager_imports():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_scipy_is_imported_only_where_it_is_called(path):
-    # importing slopelab, the line engine and the 1-D commands need no scipy;
-    # the reference norms, kappa(p, N >= 2) and the stopping decomposition
-    # import it in the functions that call it
+    # slopelab needs no scipy but in the stopping decomposition, which
+    # imports it in the functions that call it
     assert eager_imports(path.read_text(encoding="utf-8"), "scipy") == [], path.name
 
 

@@ -17,6 +17,7 @@ from slopelab import quadrature
 from slopelab.quadrature import (
     MAX_CELLS,
     EngineEstimate,
+    UndecidedError,
     measure_line,
     member_window,
     near_diagonal,
@@ -484,7 +485,7 @@ class TestSlopeVerdict:
 
     def test_unknown_constant_at_b_minus_one_is_undecided(self):
         u = dataclasses.replace(make_standard("tent"), lip=None)
-        with pytest.raises(ValueError, match=r"undecided: lambda=0\.5 at b=-1"):
+        with pytest.raises(UndecidedError, match=r"undecided: lambda=0\.5 at b=-1"):
             nu_measure(LevelSetQuery(u=u, params=P(-1.0), lam=0.5))
 
 
@@ -555,7 +556,9 @@ class TestSharedVertexSampling:
         # no slope shows between the indicator's jumps, and with the Lipschitz
         # constant unknown nothing bounds the near-diagonal mass
         u = dataclasses.replace(make_standard("interval_indicator(1)"), lip=None)
-        with pytest.raises(ValueError, match=r"undecided at gamma=0: lambda=0\.5 .* slope 0\.0 "):
+        with pytest.raises(
+            UndecidedError, match=r"undecided at gamma=0: lambda=0\.5 .* slope 0\.0 "
+        ):
             nu_measure(LevelSetQuery(u=u, params=P(0.0), lam=0.5))
 
     def test_region_with_narrow_window_pinned(self):

@@ -8,7 +8,7 @@ import pytest
 from slopelab.catalog import get, make_standard, mollified_indicator, scale_values
 from slopelab.measure import LevelSetQuery, nu_measure
 from slopelab.params import Params
-from slopelab.quadrature import measure_line
+from slopelab.quadrature import max_slope, measure_line
 
 
 def P(gamma, p=1.0, dim=1):
@@ -161,6 +161,8 @@ class TestSlopeVerdict2D:
         if infinite:
             assert est.value == est.error_bound == math.inf
             assert "below the Lipschitz constant" in est.diagnostics["reason"]
+            # both report the slope that decided, that of the central slice
+            assert est.diagnostics["max_slope"] == max_slope(bump.slicer(0.0, 0.0))
         else:
             assert est.value == est.error_bound == 0.0
 
@@ -174,6 +176,13 @@ class TestMonteCarlo:
         c = nu_measure(LevelSetQuery(**q, seed=4))
         assert a.value == b.value
         assert a.value != c.value
+
+    def test_mc_samples_is_a_target_not_a_cap(self):
+        # the strata share the target by weight, and each draws at least 64
+        est = nu_measure(LevelSetQuery(u=make_standard("tent"), params=P(1.0), lam=8.0,
+                                       method="montecarlo", mc_samples=1))
+        assert est.diagnostics["strata"] == 6
+        assert est.evaluations == 6 * 64
 
     def test_jump_at_constant_threshold_is_not_member(self):
         # membership is strict: a jump of 1 is not above lambda = 1 at b = -1

@@ -11,9 +11,9 @@ function).
 The radii start at the cut of the near-diagonal rule the line engine uses,
 ``quadrature.near_diagonal``, which also gives the divergence verdict.  For a
 bounded verdict the mass below the cut, the rule's remainder times the sphere
-area, goes half into the value and half into the error bound; with no
-preview of the value, the remainder is aimed at ``rel_tol / 4``, the line
-engine's remainder target for a value of order one.  A 'slope' cut (gamma = 0
+area, goes half into the value and half into the error bound; with no value
+estimate, the remainder is aimed at ``rel_tol / 4``, where the line engine's
+refinement leaves it for a value of order one.  A 'slope' cut (gamma = 0
 below the Lipschitz constant) takes the line engine's ``slope_verdict`` on the
 line profile, or on the central slice of a planar (radial) entry.  The error
 bound is three standard errors plus that half of the remainder.

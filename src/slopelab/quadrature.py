@@ -442,11 +442,12 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 # ---------------------------------------------------------------------------
 
 def _refine(member, cells, gamma, target, budget_left, top):
-    """Round-based quadtree refinement of indicator cells.
+    """Round-based quadtree refinement of indicator cells, resumable.
 
-    A cell [x1, x2] x [h1, h2] is judged on the 3x3 stencil of its corners
-    and midpoints, 0.5 (x1 + x2) in x and sqrt(h1 h2) in h.  Cells of the
-    first round sample all nine pairs.  A cell that is split is sampled once
+    ``cells`` is (x1, x2, h1, h2, ok): cells [x1, x2] x [h1, h2] and their
+    (3, 3, k) samples on the stencil of corners and midpoints, 0.5 (x1 + x2)
+    in x and sqrt(h1 h2) in h; ok is None for fresh cells, which sample all
+    nine pairs in the first round.  A cell that is split is sampled once
     more, on its 5x5 half-step grid: the abscissae x1, 0.5 (x1 + xm), xm,
     0.5 (xm + x2), x2 against the separations h1, sqrt(h1 hm), hm,
     sqrt(hm h2), h2.  Its own 3x3 samples fill the even indices, and
@@ -455,12 +456,20 @@ def _refine(member, cells, gamma, target, budget_left, top):
     5 + 16 profile points per split.  Child (a, b) takes g[2a:2a+3, 2b:2b+3]
     as its stencil, so every cell of a later round starts with its nine
     samples known; its midpoints are the same doubles it would compute
-    itself.  Geometric midpoints come from ``_geometric_mid``, which does not
-    underflow.  ``member(x, h)`` takes abscissae of shape (n, 1, k) and
+    itself.  Geometric midpoints come from ``_geometric_mid``, which does
+    not underflow.  ``member(x, h)`` takes abscissae of shape (n, 1, k) and
     separations of shape (1, m, k) and returns the (n, m, k) membership of
     the pairs (x, x + h), so the profile runs once per abscissa plus once
-    per pair.  The cell axis is last so that numpy's inner loops run along
-    it.
+    per pair, with the cell axis last for numpy's inner loops.
+
+    The first ``_EXPLORE_ROUNDS`` rounds of fresh cells also split cells
+    sampled empty, so that thin slivers between the sample lines of the
+    initial grid get a second look; only later rounds may stop, once the
+    mixed cells weigh at most ``target``.  The mixed cells left unsplit, at
+    the stop or below target / (2 MAX_CELLS), are the frontier: a call on
+    it at a tighter target resumes the refinement, with no explore rounds
+    and no pair sampled again.  The lightest mixed cells past the cap of
+    MAX_CELLS / 4 splits in a round are dropped, their mass unresolved.
 
     The pair domain ends at x + h = ``top`` (inf for none), and the edge
     enters through the weight, not the membership: a cell counts only its
@@ -479,22 +488,29 @@ def _refine(member, cells, gamma, target, budget_left, top):
     result does not depend on the block size.  Cells whose weight underflows
     to 0 are dropped before a round; the arrays are compacted only then.
 
-    ``evaluations`` counts stencil pairs, nine per live cell, not profile
-    points: refinement decisions and the budget are the same as for a full
-    3x3 sampling of every cell.  A round is sampled only if its pairs, nine
-    per cell, fit in ``budget_left``; otherwise the mass it would have
-    sampled counts as unresolved and the refinement stops.
+    ``evaluations`` counts stencil pairs, nine per live cell and once per
+    cell, not profile points, as for a full 3x3 sampling of every cell.  A
+    round is sampled only if its pairs fit in ``budget_left``.
 
-    Returns (inside_mass, unresolved_mass, evaluations, rounds, exhausted);
-    exhausted is True when the budget stopped the refinement, also before
-    its first round.  Raises ValueError on a non-finite cell weight.
+    Returns (inside_mass, dropped_mass, frontier, unresolved_mass,
+    evaluations, rounds, exhausted): the frontier has the form of ``cells``,
+    and the unresolved mass is its weight plus the dropped mass.  exhausted
+    is True when the budget stopped the refinement, also before its first
+    round, with the cells of the stopped round in the frontier.  Raises
+    ValueError on a non-finite cell weight.
     """
-    x1, x2, h1, h2 = cells
-    ok = None                 # (3, 3, k) stencil samples, known after a split
-    inside = 0.0
-    unresolved = 0.0
-    evals = 0
-    rounds = 0
+    x1, x2, h1, h2, ok = cells
+    explore = _EXPLORE_ROUNDS if ok is None else 0  # rounds that split sampled-empty cells
+    ok = np.empty((3, 3, len(x1)), dtype=bool) if ok is None else ok
+    inside, dropped, unresolved, evals, rounds = 0.0, 0.0, 0.0, 0, 0
+    parked = []  # mixed cells too light to split in earlier rounds
+
+    def cells_at(idx):
+        return x1[idx], x2[idx], h1[idx], h2[idx], ok[:, :, idx]
+
+    def frontier(idx=slice(0)):
+        return _joined(parked + [cells_at(idx)])
+
     while len(x1):
         w = _cell_weight(gamma, x1, x2, h1, h2, top)
         if not np.isfinite(w).all():
@@ -504,52 +520,46 @@ def _refine(member, cells, gamma, target, budget_left, top):
             )
         live = w > 0
         if not live.all():
-            x1, x2, h1, h2, w = x1[live], x2[live], h1[live], h2[live], w[live]
-            if ok is not None:
-                ok = ok[:, :, live]
+            x1, x2, h1, h2, w, ok = x1[live], x2[live], h1[live], h2[live], w[live], ok[:, :, live]
             if not len(x1):
                 break
         n = len(x1)
-        if ok is None:
+        if explore and not rounds:
             if evals + 9 * n > budget_left:
-                return inside, unresolved + float(w.sum()), evals, rounds, True
-            ok = np.empty((3, 3, n), dtype=bool)
+                return inside, 0.0, (x1, x2, h1, h2, None), float(w.sum()), evals, rounds, True
             for s0 in range(0, n, _BLOCK):
                 s = slice(s0, s0 + _BLOCK)
                 bx1, bx2, bh1, bh2 = x1[s], x2[s], h1[s], h2[s]
                 xs = np.stack([bx1, 0.5 * (bx1 + bx2), bx2])
                 hs = np.stack([bh1, _geometric_mid(bh1, bh2), bh2])
                 ok[:, :, s] = member(xs[:, None], hs[None, :])
-        evals += 9 * n
+        if explore or rounds:
+            # a resumed frontier was counted in the round that left it
+            evals += 9 * n
         samples = ok.reshape(9, n)
         full = samples.all(axis=0)
         hit = samples.any(axis=0)
         rounds += 1
-        if rounds <= _EXPLORE_ROUNDS and n <= 40_000:
-            # explore: split sampled-empty cells too, so thin slivers between
-            # sample lines of the initial grid still get a second look
-            mixed = ~full
-        else:
-            mixed = hit & ~full
+        mixed = ~full if rounds <= explore and n <= 40_000 else hit & ~full
         inside += float(w[full].sum())
 
         sel = np.flatnonzero(mixed)
         mw = w[sel]
         total_mixed = float(mw.sum())
-        if rounds > _EXPLORE_ROUNDS and total_mixed <= target:
-            unresolved += total_mixed
-            break
+        if rounds > explore and total_mixed <= target:
+            return inside, dropped, frontier(sel), unresolved + total_mixed, evals, rounds, False
 
+        # cells too light to split are parked, those sampled empty dropped
         keep = mw > target / (2.0 * MAX_CELLS)
-        if rounds > _EXPLORE_ROUNDS:
-            unresolved += float(mw[~keep].sum())
-        else:
-            unresolved += float(mw[~keep & hit[sel]].sum())
+        light = ~keep & hit[sel]
+        unresolved += float(mw[light].sum())
+        parked.append(cells_at(sel[light]))
         sel, mw = sel[keep], mw[keep]
         cutoff = MAX_CELLS // 4
         if len(sel) > cutoff:
             order = np.argsort(mw, kind="stable")[::-1]
-            unresolved += float(mw[order[cutoff:]].sum())
+            lost = float(mw[order[cutoff:]].sum())
+            unresolved, dropped = unresolved + lost, dropped + lost
             sel = sel[order[:cutoff]]
         if not len(sel):
             break
@@ -559,7 +569,7 @@ def _refine(member, cells, gamma, target, budget_left, top):
         counts = [m] * 4 if made is None else np.count_nonzero(made, axis=1).tolist()
         total = sum(counts)
         if evals + 9 * total > budget_left:
-            return inside, unresolved + float(w[sel].sum()), evals, rounds, True
+            return inside, dropped, frontier(sel), unresolved + float(w[sel].sum()), evals, rounds, True
         # the next round's arrays hold the quarters in turn; at[q] is where
         # quarter q's next child goes
         at = [0, counts[0], counts[0] + counts[1], total - counts[3]]
@@ -594,7 +604,12 @@ def _refine(member, cells, gamma, target, budget_left, top):
                 cok[:, :, d] = stencil
                 at[q] += n_keep
         x1, x2, h1, h2, ok = cx1, cx2, ch1, ch2, cok
-    return inside, unresolved, evals, rounds, False
+    return inside, dropped, frontier(), unresolved, evals, rounds, False
+
+
+def _joined(parts):
+    """Cell sets in the form ``_refine`` takes, concatenated."""
+    return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
 
 def _quarters_made(x1, x2, h1, h2, top):
@@ -608,7 +623,9 @@ def _quarters_made(x1, x2, h1, h2, top):
 
 
 def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top):
-    """Cells over [x_lo, x_hi] x [h_lo, h_hi], none wholly beyond x + h = top."""
+    """Fresh cells over [x_lo, x_hi] x [h_lo, h_hi], none wholly beyond x + h = top."""
+    if x_lo >= x_hi or h_lo >= h_hi:
+        return (np.empty(0),) * 4 + (None,)
     pts = profile.grid_points()
     pts = pts[(pts > x_lo) & (pts < x_hi)]
     edges = np.unique(np.concatenate([[x_lo, x_hi], pts]))
@@ -624,8 +641,7 @@ def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top):
         idx = np.unique(np.linspace(0, len(edges) - 1, _MAX_X_CELLS + 1).astype(int))
         edges = edges[idx]
 
-    n_shells = max(1, int(math.ceil(math.log2(h_hi / h_lo))))
-    n_shells = min(n_shells, 1400)
+    n_shells = min(max(1, math.ceil(math.log2(h_hi / h_lo))), 1400)
     shells = h_lo * (h_hi / h_lo) ** (np.arange(n_shells + 1) / n_shells)
     shells[0], shells[-1] = h_lo, h_hi
 
@@ -634,7 +650,7 @@ def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top):
     sh1 = np.tile(shells[:-1], len(edges) - 1)
     sh2 = np.tile(shells[1:], len(edges) - 1)
     made = ex1 + sh1 < top
-    return ex1[made], ex2[made], sh1[made], sh2[made]
+    return ex1[made], ex2[made], sh1[made], sh2[made], None
 
 
 def measure_line(
@@ -661,11 +677,18 @@ def measure_line(
     replacing the generic Lipschitz cutoff (used by the self-similar cross
     terms, whose Lipschitz constants are astronomically large).
 
-    ``budget`` caps the stencil-pair evaluations of the whole query: the
-    preview and both interior passes draw on one counter, no pass samples a
-    round that would overrun it, and a query that runs out raises
-    ``BudgetExceededError`` carrying the partial estimate.  The gamma = 0
-    verdict below the Lipschitz constant (``slope_verdict``) samples no pair.
+    The interior cells are one refinement in turns, no cell sampled twice:
+    the first from the near cut of remainder rel_tol max(tail, 1) at half
+    that target; then, while needed, the cut lowered to a remainder of
+    rel_tol scale / 4 with only the fresh strip below the old cut refined
+    (the weight is additive in h), or the frontier of mixed cells resumed at
+    target rel_tol scale / 2; scale is the estimate less the remainder.
+
+    ``budget`` caps the stencil-pair evaluations of the whole query: every
+    turn draws on one counter, no round that would overrun it is sampled,
+    and a query that runs out raises ``BudgetExceededError`` carrying the
+    partial estimate so far.  The gamma = 0 verdict below the Lipschitz
+    constant (``slope_verdict``) samples no pair.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
@@ -731,9 +754,7 @@ def measure_line(
     else:
         cell_jumps = profile.jumps if boxed else [j for j in profile.jumps if lo < j[0] < hi]
         cut = rule(profile.lipschitz, *jump_structure(cell_jumps))
-    cuts = [cut]
-    if not boxed:
-        cuts.append(rule(profile.lipschitz, *jump_structure(edge_jumps)))
+    cuts = [cut] if boxed else [cut, rule(profile.lipschitz, *jump_structure(edge_jumps))]
     for c in cuts:
         if c.kind == "divergent" and h_lo == 0.0:
             return EngineEstimate(math.inf, math.inf, diagnostics={"reason": c.reason})
@@ -743,88 +764,67 @@ def measure_line(
         return EngineEstimate(math.inf, math.inf, diagnostics=diag)
 
     if boxed:
-        h_hi = min(h_hi, box_hi - box_lo)
-        cells_hi = h_hi
+        h_hi = cells_hi = min(h_hi, box_hi - box_lo)
         x_lo, x_hi = max(lo - h_hi, box_lo), min(hi, box_hi)
     else:
         cells_hi = min(h_hi, profile.span)
         x_lo, x_hi = lo, hi
 
-    evals = 0  # stencil-pair evaluations of the whole query
-    exhausted = False
-
-    def run_cells(cell_lo, target):
-        nonlocal evals, exhausted
-        if cell_lo >= cells_hi or x_lo >= x_hi:
-            return 0.0, 0.0, 0
-        cells = _initial_cells(profile, x_lo, x_hi, cell_lo, cells_hi, top)
-        inside, unresolved, spent, rounds, exhausted = _refine(
-            member, cells, gamma, target, budget - evals, top
-        )
-        evals += spent
-        return inside, unresolved, rounds
-
     # --- plateau interactions (closed form in h) ---------------------------
-    tail_v = 0.0
-    tail_e = 0.0
+    tail_v = tail_e = 0.0
     if not boxed:
         try:
-            tail_v, tail_e, parts = _plateau_interactions(
-                profile, gamma, beta, lam, h_lo, h_hi
-            )
+            tail_v, tail_e, parts = _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi)
             diag["tail_parts"] = parts
         except _Divergent as d:
             return EngineEstimate(math.inf, math.inf, diagnostics={"reason": d.reason})
 
-    # --- near cutoff --------------------------------------------------------
-    rem = 0.0
-    rounds = 0
+    # --- near cutoff and interior cells: one refinement ---------------------
+    lowering = cut.kind == "bounded" and h_lo == 0.0  # the near cut follows the value
     if cut.kind == "zero":
-        # no pair closer than h_cut is a member, also inside an annulus
-        cell_lo = max(h_lo, cut.h_cut)
-    elif h_lo > 0.0:
-        cell_lo = h_lo
+        cell_lo = max(h_lo, cut.h_cut)  # no closer pair is a member, also inside an annulus
     else:
-        guess = max(rel_tol * max(tail_v, 1.0), 1e-12)
-        pv_lo = max(cut.cut_for(guess), PRECISION_FLOOR)
-        pv_in, pv_un, rounds = run_cells(pv_lo, 8.0 * guess)
-        scale = pv_in + 0.5 * pv_un + tail_v
-        diag["preview_value"] = scale
-        target_rem = rel_tol * scale / 4.0
-        cell_lo = cut.cut_for(max(target_rem, 1e-300))
-        rem = cut.remainder(cell_lo)
-    if cell_lo < PRECISION_FLOOR:
-        cell_lo = PRECISION_FLOOR
-        diag["near_floor_clamped"] = True
-        rem = cut.remainder(cell_lo) if cut.kind == "bounded" else 0.0
-    if rem < 1e-200:
-        rem = 0.0
+        cell_lo = cut.cut_for(max(rel_tol * max(tail_v, 1.0), 1e-12)) if lowering else h_lo
 
-    # --- interior cells -----------------------------------------------------
-    if exhausted:
-        # the preview spent the budget: its cells give the partial estimate
-        inside, unresolved, cell_lo, rem = pv_in, pv_un, pv_lo, cut.remainder(pv_lo)
-    else:
-        target1 = rel_tol * max(tail_v, 1.0) / 2.0
-        inside, unresolved, rounds = run_cells(cell_lo, target1)
-        scale = inside + 0.5 * unresolved + 0.5 * rem + tail_v
-        target2 = rel_tol * scale / 2.0
-        if not exhausted and unresolved > target2 and scale > 0:
-            inside, unresolved, rounds = run_cells(cell_lo, target2)
+    def near(h):
+        # the cut clamped to the floor, and the remainder of the pairs below it
+        if h < PRECISION_FLOOR:
+            h = PRECISION_FLOOR
+            diag["near_floor_clamped"] = True
+        rem = cut.remainder(h) if cut.kind == "bounded" and h_lo < h else 0.0
+        return h, (rem if rem >= 1e-200 else 0.0)
 
-    diag["h_cut"] = cell_lo
-    diag["near_remainder"] = rem
-    diag["rounds"] = rounds
+    inside, dropped, evals, rounds, exhausted = 0.0, 0.0, 0, 0, False  # of the whole query
+    target = rel_tol * max(tail_v, 1.0) / 2.0
 
+    def refine(cells):
+        nonlocal inside, dropped, evals, rounds, exhausted
+        got, lost, left, mass, n, r, exhausted = _refine(
+            member, cells, gamma, target, budget - evals, top
+        )
+        inside, dropped, evals, rounds = inside + got, dropped + lost, evals + n, rounds + r
+        return left, mass
+
+    cell_lo, rem = near(cell_lo)
+    frontier, unresolved = refine(_initial_cells(profile, x_lo, x_hi, cell_lo, cells_hi, top))
+    while not exhausted:
+        tight = rel_tol * (inside + 0.5 * unresolved + tail_v) / 2.0
+        new_lo, new_rem = near(cut.cut_for(max(tight / 2.0, 1e-300))) if lowering else (cell_lo, rem)
+        if new_lo < cell_lo:
+            strip, mass = refine(_initial_cells(profile, x_lo, x_hi, new_lo, cell_lo, top))
+            frontier = frontier if exhausted else _joined([frontier, strip])
+            cell_lo, rem, unresolved = new_lo, new_rem, unresolved + mass
+        elif unresolved > tight and tight < target:
+            target, kept = tight, dropped  # the dropped mass stays unresolved
+            frontier, mass = refine(frontier)
+            unresolved = kept + mass
+        else:
+            break
+
+    diag.update(h_cut=cell_lo, near_remainder=rem, rounds=rounds)
     value = 2.0 * (inside + 0.5 * unresolved + 0.5 * rem + tail_v)
     error = 2.0 * (0.5 * unresolved + 0.5 * rem + tail_e)
-    est = EngineEstimate(
-        value=value,
-        error=error,
-        evaluations=evals,
-        tail=2.0 * (tail_v + 0.5 * rem),
-        diagnostics=diag,
-    )
+    est = EngineEstimate(value, error, evals, 2.0 * (tail_v + 0.5 * rem), diag)
     if exhausted:
         raise BudgetExceededError(
             f"evaluation budget {budget} exhausted before reaching tolerance", est

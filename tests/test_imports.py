@@ -17,9 +17,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCIPY_PARTS = ("scipy.integrate", "scipy.optimize", "scipy.special")
 
 
-def run_fresh(script: str, *args: str) -> list[str]:
-    """Run ``script`` in a new interpreter; its last output line is a JSON list."""
-    env = dict(os.environ)
+def run_fresh(script: str, *args: str, env_extra: dict | None = None):
+    """Run ``script`` in a new interpreter, with ``env_extra`` added to the
+    environment; its last output line is JSON, returned decoded."""
+    env = dict(os.environ, **(env_extra or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],

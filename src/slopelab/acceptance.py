@@ -190,14 +190,11 @@ def _criterion_10(rec: _Record):
 def _criterion_11(rec: _Record):
     """Stopping decomposition of the unit indicator at gamma=-2."""
     u = make_standard("interval_indicator(1)")
-    f = lambda t: float(u.eval(np.array([t]))[0])
-    dec = stopping_intervals(f, (0.0, 1.0), -2.0, breakpoints=(0.0, 1.0))
+    dec = stopping_intervals(u.eval, (0.0, 1.0), -2.0, breakpoints=(0.0, 1.0))
     rec.check("K", float(dec.k), 2.0, 0, kind="abs")
-    expected = (0.0, 0.7071068, 2.4142136)
-    for a, b in zip(dec.endpoints, expected):
-        rec.check(f"endpoint {b:g}", a, b, 1e-7, kind="abs")
-    worst = max(abs(r) for r in dec.residuals(f, points=(0.0, 1.0)))
-    rec.check("residuals", worst, 1e-10, 0, kind="le")
+    for a, b in zip(dec.endpoints, (0.0, math.sqrt(0.5), 1.0 + math.sqrt(2.0))):
+        rec.check(f"endpoint {b:g}", a, b, 1e-12, kind="abs")
+    rec.check("residuals", max(abs(r) for r in dec.residuals), 1e-10, 0, kind="le")
 
 
 def _criterion_12(rec: _Record):

@@ -16,7 +16,6 @@ was required.
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import json
 import math
 import platform
@@ -92,8 +91,6 @@ def _versions() -> dict:
     return {
         "slopelab": __version__,
         "numpy": np.__version__,
-        # the installed version, read without importing scipy
-        "scipy": importlib.metadata.version("scipy"),
         "python": platform.python_version(),
     }
 
@@ -225,16 +222,13 @@ def _cmd_stopping(args):
     if not args.gamma < -1:
         raise ConfigError(f"the stopping construction requires gamma < -1, got {args.gamma}")
     u = catalog.make_standard(args.fn)
-    if u.grad is not None:
-        f = lambda t: abs(float(u.eval(np.array([t]))[0]))
-    else:
-        f = lambda t: float(u.eval(np.array([t]))[0])
     lo, hi = u.support[0]
-    dec = stopping_intervals(f, (lo, hi), args.gamma, breakpoints=u.breakpoints)
-    residuals = dec.residuals(f, points=u.breakpoints)
+    dec = stopping_intervals(
+        lambda t: np.abs(u.eval(t)), (lo, hi), args.gamma, breakpoints=u.breakpoints
+    )
     rows = [
         (i + 1, a, b, r)
-        for i, (a, b, r) in enumerate(zip(dec.endpoints, dec.endpoints[1:], residuals))
+        for i, (a, b, r) in enumerate(zip(dec.endpoints, dec.endpoints[1:], dec.residuals))
     ]
     return (
         ["interval", "left", "right", "residual"],

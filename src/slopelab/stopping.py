@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .catalog import gauss_legendre
 
 __all__ = ["StoppingDecomposition", "stopping_intervals"]
 
@@ -23,23 +23,15 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class StoppingDecomposition:
+    """The endpoints, and per interval the residual |I|^(-(gamma+1)) * int_I f - 1/2."""
+
     gamma: float
     endpoints: tuple[float, ...]
+    residuals: tuple[float, ...]
 
     @property
     def k(self) -> int:
         return len(self.endpoints) - 1
-
-    def residuals(self, f, points=()) -> list[float]:
-        """|I|^(-(gamma+1)) * int_I f - 1/2 for each interval."""
-        from scipy.integrate import quad
-
-        q = -(self.gamma + 1.0)
-        out = []
-        for a, b in zip(self.endpoints, self.endpoints[1:]):
-            mass, _ = quad(f, a, b, limit=400, points=[p for p in points if a < p < b] or None)
-            out.append((b - a) ** q * mass - 0.5)
-        return out
 
 
 def stopping_intervals(
@@ -48,10 +40,12 @@ def stopping_intervals(
     gamma: float,
     breakpoints: tuple[float, ...] = (),
 ) -> StoppingDecomposition:
-    """Decompose supp f into calibrated intervals (gamma < -1, f >= 0)."""
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
+    """Decompose supp f into calibrated intervals (gamma < -1, f >= 0).
 
+    ``f`` is vectorized, numpy in and numpy out, like a catalog evaluator;
+    it is integrated piecewise between the ``breakpoints`` by
+    ``catalog.gauss_legendre``.
+    """
     if not gamma < -1.0:
         raise ValueError(f"the stopping construction needs gamma < -1, got {gamma}")
     a, b = support
@@ -59,50 +53,47 @@ def stopping_intervals(
         raise ValueError("empty support interval")
     q_exp = -(gamma + 1.0)  # positive
 
-    total, _ = quad(f, a, b, limit=400, points=list(breakpoints) or None)
+    def mass(c, x):
+        """int_c^x f; f vanishes beyond b."""
+        x = min(x, b)
+        cuts = [c, *sorted(p for p in breakpoints if c < p < x), x]
+        return max(sum(gauss_legendre(f, lo, hi) for lo, hi in zip(cuts, cuts[1:])), 0.0)
+
+    total = mass(a, b)
     if total <= 0.0:
         raise ValueError("f must not be identically zero on its support")
 
-    def mass(c, x):
-        if x <= c:
-            return 0.0
-        pts = [p for p in breakpoints if c < p < x] or None
-        val, _ = quad(f, c, x, limit=400, points=pts)
-        return max(val, 0.0)
-
-    endpoints = [a]
+    endpoints, residuals = [a], []
     # minimal possible interval length (paper's termination bound)
     min_len = (2.0 * total) ** (1.0 / (gamma + 1.0))
     max_steps = int(math.ceil((b - a) / min_len)) + 2
 
     for _ in range(max_steps):
         c = endpoints[-1]
-        if c >= b:
-            break
         rest = mass(c, b)
         if rest <= 0.0:
             raise ValueError(
                 f"no mass left on [{c:g}, {b:g}]: support metadata inconsistent with f"
             )
-
-        def g(x, _c=c):
-            return (x - _c) ** q_exp * mass(_c, x) - 0.5
-
-        hi = max(b, c + (0.5 / rest) ** (1.0 / q_exp)) + 1.0
-        while g(hi) < 0.0:
-            hi *= 2.0
-        lo = c + 1e-13 * max(1.0, abs(c))
-        while g(lo) > 0.0:
-            lo = c + (lo - c) / 8.0
-        root = brentq(g, lo, hi, xtol=1e-15, rtol=8.0 * np.finfo(float).eps, maxiter=300)
-        endpoints.append(float(root))
-        if root >= b:
+        # past b the map is (x - c)^q_exp * rest, which exceeds 1/2 at hi
+        lo, hi = c, max(b, c + (0.5 / rest) ** (1.0 / q_exp)) + 1.0
+        at_hi = (hi - c) ** q_exp * rest
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            value = (mid - c) ** q_exp * mass(c, mid)
+            if value < 0.5:
+                lo = mid
+            else:
+                hi, at_hi = mid, value
+        endpoints.append(hi)
+        residuals.append(at_hi - 0.5)
+        if hi >= b:
             break
     else:
         raise RuntimeError("stopping construction failed to cover the support")
 
-    dec = StoppingDecomposition(gamma=gamma, endpoints=tuple(endpoints))
-    worst = max(abs(r) for r in dec.residuals(f, points=breakpoints))
+    worst = max(abs(r) for r in residuals)
     if worst > RESIDUAL_TOL:
         raise RuntimeError(f"calibration residual {worst:.2e} above {RESIDUAL_TOL:g}")
-    return dec
+    return StoppingDecomposition(
+        gamma=gamma, endpoints=tuple(endpoints), residuals=tuple(residuals)
+    )

@@ -6,7 +6,6 @@ import shlex
 from pathlib import Path
 
 import pytest
-import scipy
 
 from slopelab.cli import EXIT_BAD_CONFIG, EXIT_INFINITE, EXIT_OK, build_parser, main
 from slopelab.selfsimilar import corner_rectangle_weight
@@ -49,10 +48,10 @@ class TestBasicCommands:
         assert sidecar["command"] == "measure"
         assert "versions" in sidecar and "timing_s" in sidecar
 
-    def test_sidecar_reports_the_scipy_version(self, tmp_path):
+    def test_sidecar_reports_slopelab_numpy_and_python_versions(self, tmp_path):
         code, _, side = run(tmp_path, "kappa", ["kappa", "--p", "1", "--dim", "1"])
         assert code == EXIT_OK
-        assert json.loads(side.read_text())["versions"]["scipy"] == scipy.__version__
+        assert set(json.loads(side.read_text())["versions"]) == {"slopelab", "numpy", "python"}
 
     def test_seventeen_digit_rendering(self, tmp_path):
         _, out, _ = run(tmp_path, "kappa", ["kappa", "--p", "2", "--dim", "2"])
@@ -71,7 +70,9 @@ class TestBasicCommands:
         assert code == EXIT_OK
         sidecar = json.loads(side.read_text())
         assert sidecar["k"] == 2
-        assert sidecar["endpoints"][1] == pytest.approx(math.sqrt(0.5), abs=1e-7)
+        assert sidecar["endpoints"][1:] == pytest.approx(
+            [math.sqrt(0.5), 1.0 + math.sqrt(2.0)], abs=1e-12
+        )
 
 
 class TestEveryCommandRuns:

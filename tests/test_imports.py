@@ -1,10 +1,10 @@
-"""slopelab runs without scipy everywhere but the stopping decomposition.
+"""slopelab runs without scipy.
 
 The line engine, the staircases, the planar entries, both planar engines,
-the gradient norms (a numpy Gauss-Legendre rule) and kappa (math.lgamma)
-load none of it; ``stopping_intervals`` loads scipy's ``quad`` and ``brentq``
-where it is called.  Each check runs in a fresh interpreter, because the rest
-of the suite imports scipy.
+the gradient norms and the stopping decomposition (both on a numpy
+Gauss-Legendre rule) and kappa (math.lgamma) load none of it.  Each check
+runs in a fresh interpreter, so that nothing the test process has loaded
+counts.
 """
 
 import json
@@ -14,7 +14,10 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SCIPY_PARTS = ("scipy.integrate", "scipy.optimize", "scipy.special")
+# the last line of every check: the scipy modules loaded, as JSON
+SCIPY_LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
 
 
 def run_fresh(script: str, *args: str, env_extra: dict | None = None):
@@ -50,8 +53,7 @@ selfsimilar.box_measure_ladder(-0.5, 0.3, 3, m0=1, rel_tol=0.05)
 code = cli.main(["measure", "--fn", "tent", "--gamma", "-2", "--p", "1", "--lambda", "0.25",
                  "--out", sys.argv[1]])
 assert code == 0, code
-print(json.dumps(sorted(m for m in %r if m in sys.modules)))
-""" % (SCIPY_PARTS,)
+""" + SCIPY_LOADED
 
 
 def test_line_engine_staircases_and_cli_measure_load_no_scipy(tmp_path):
@@ -82,26 +84,23 @@ for method in ("rotation2d", "montecarlo"):
     est = nu_measure(LevelSetQuery(u=ball, params=params, lam=4.0, method=method,
                                    rel_tol=0.1, mc_samples=20_000))
     assert np.isfinite(est.value), est
-print(json.dumps(sorted(m for m in %r if m in sys.modules)))
-""" % (SCIPY_PARTS,)
+""" + SCIPY_LOADED
 
 
 def test_planar_entries_norms_constants_and_engines_load_no_scipy():
     assert run_fresh(PLANAR_WORK) == []
 
 
-STOPPING = """
+STOPPING_WORK = """
 import json, sys
-from slopelab.stopping import stopping_intervals
+from slopelab import acceptance, cli
 
-before = sorted(m for m in %r if m in sys.modules)
-dec = stopping_intervals(lambda x: 1.0, (0.0, 1.0), -2.0, breakpoints=(0.0, 1.0))
-assert dec.k == 2
-print(json.dumps([before, sorted(m for m in %r if m in sys.modules)]))
-""" % (SCIPY_PARTS, SCIPY_PARTS)
+code = cli.main(["stopping", "--fn", "interval_indicator(1)", "--gamma", "-2",
+                 "--out", sys.argv[1]])
+assert code == 0, code
+assert acceptance.run_one(11)["passed"]
+""" + SCIPY_LOADED
 
 
-def test_stopping_decomposition_loads_scipy_on_demand():
-    before, after = run_fresh(STOPPING)
-    assert before == []
-    assert {"scipy.integrate", "scipy.optimize"} <= set(after)
+def test_stopping_command_and_criterion_load_no_scipy(tmp_path):
+    assert run_fresh(STOPPING_WORK, str(tmp_path / "stopping.csv")) == []

@@ -2,14 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from slopelab.catalog import mollified_indicator
 from slopelab.stopping import stopping_intervals
 
 
 def unit_indicator(t):
-    return 1.0 if 0.0 <= t <= 1.0 else 0.0
+    return ((0.0 <= t) & (t <= 1.0)).astype(float)
+
+
+def smooth_density(t):
+    return np.maximum(0.0, 1.0 - np.abs(t)) ** 2
 
 
 class TestUnitIndicator:
@@ -20,12 +26,12 @@ class TestUnitIndicator:
         assert dec.k == 2
         expected = (0.0, math.sqrt(0.5), math.sqrt(0.5) + 0.5 / (1.0 - math.sqrt(0.5)))
         for a, b in zip(dec.endpoints, expected):
-            assert a == pytest.approx(b, abs=1e-9)
+            assert a == pytest.approx(b, abs=1e-13)
 
     def test_residuals_meet_the_defining_equation(self):
         dec = stopping_intervals(unit_indicator, (0.0, 1.0), -2.0, breakpoints=(0.0, 1.0))
-        worst = max(abs(r) for r in dec.residuals(unit_indicator, points=(0.0, 1.0)))
-        assert worst < 1e-10
+        assert len(dec.residuals) == dec.k
+        assert max(abs(r) for r in dec.residuals) < 1e-10
 
     def test_cover_reaches_past_the_support(self):
         dec = stopping_intervals(unit_indicator, (0.0, 1.0), -2.0, breakpoints=(0.0, 1.0))
@@ -36,18 +42,16 @@ class TestUnitIndicator:
 class TestEdgeCases:
     def test_tiny_support_single_interval(self):
         eps = 1e-3
-        f = lambda t: 1.0 if 0.0 <= t <= eps else 0.0
+        f = lambda t: ((0.0 <= t) & (t <= eps)).astype(float)
         dec = stopping_intervals(f, (0.0, eps), -2.0, breakpoints=(0.0, eps))
         assert dec.k == 1
         # |I| * eps = 1/2 forces |I| = 500, far beyond the support
         assert dec.endpoints[1] == pytest.approx(0.5 / eps, rel=1e-9)
 
     def test_smooth_density(self):
-        f = lambda t: max(0.0, 1.0 - abs(t)) ** 2
-        dec = stopping_intervals(f, (-1.0, 1.0), -1.5, breakpoints=(-1.0, 0.0, 1.0))
+        dec = stopping_intervals(smooth_density, (-1.0, 1.0), -1.5, breakpoints=(-1.0, 0.0, 1.0))
         assert dec.endpoints[-1] >= 1.0
-        worst = max(abs(r) for r in dec.residuals(f, points=(-1.0, 0.0, 1.0)))
-        assert worst < 1e-10
+        assert max(abs(r) for r in dec.residuals) < 1e-10
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):
@@ -55,4 +59,25 @@ class TestEdgeCases:
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
-            stopping_intervals(lambda t: 0.0, (0.0, 1.0), -2.0)
+            stopping_intervals(np.zeros_like, (0.0, 1.0), -2.0)
+
+
+MOLLIFIED = mollified_indicator(3)
+ORACLE_CASES = {
+    "mollified_indicator(3)": (MOLLIFIED.eval, MOLLIFIED.support[0], -1.1, MOLLIFIED.breakpoints),
+    "smooth_density": (smooth_density, (-1.0, 1.0), -1.5, (-1.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_residuals_against_mpmath(case):
+    """Each interval's calibration, integrated by mpmath between the breakpoints."""
+    f, support, gamma, breakpoints = ORACLE_CASES[case]
+    dec = stopping_intervals(f, support, gamma, breakpoints=breakpoints)
+    g = lambda t: float(f(np.array([float(t)]))[0])
+    with mpmath.workdps(30):
+        for a, b in zip(dec.endpoints, dec.endpoints[1:]):
+            pieces = [a, *sorted(p for p in breakpoints if a < p < b), b]
+            mass = mpmath.quad(g, pieces)
+            residual = (mpmath.mpf(b) - a) ** -(gamma + 1) * mass - mpmath.mpf(0.5)
+            assert abs(residual) <= 1e-14, (a, b, float(residual))

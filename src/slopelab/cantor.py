@@ -161,12 +161,9 @@ def staircase_function(spec: CantorSpec) -> TestFunction:
         eval=lambda x: staircase(spec, x),
         grad=lambda x: staircase_deriv(spec, x),
         support=((0.0, 1.0),),
-        compact_support=False,
         sup_norm=1.0,
-        plateau_left=0.0,
         plateau_right=1.0,
-        grad_l1=1.0,  # monotone 0 -> 1
-        grad_bv=1.0,
+        grad_bv=1.0,  # monotone 0 -> 1
         grad_lp=lambda p: (2.0 * spec.rho) ** ((1.0 / p - 1.0) * spec.m)
         * _base_grad_lp(spec, p),
         lip=spec.lip_bound(),
@@ -235,7 +232,6 @@ def block_function(spec: CantorSpec) -> TestFunction:
         eval=ev,
         grad=gr,
         support=((-1.0, 2.0),),
-        compact_support=True,
         sup_norm=16.0,
         lip=16.0 * (spec.lip_bound() + _CUTOFF_LIP),
         breakpoints=tuple(sorted({-1.0, -0.5, 1.5, 2.0} | set(inner))),
@@ -343,7 +339,6 @@ def counterexample_series(gamma: float, n_max: int, m_cap: int = DEFAULT_M_CAP) 
         eval=ev,
         grad=gr,
         support=((lo, hi),),
-        compact_support=True,
         sup_norm=sup,
         lip=lip,
         breakpoints=tuple(sorted(set(bps))),

@@ -31,17 +31,8 @@ __all__ = [
     "smoothstep_deriv",
     "SMOOTHSTEP_PEAK",
     "gauss_legendre",
-    "STANDARD_IDS",
+    "REGISTRY",
 ]
-
-STANDARD_IDS = (
-    "tent",
-    "smooth_bump",
-    "halfline_step",
-    "interval_indicator",
-    "linear_ramp",
-    "ball_indicator",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +117,18 @@ def gauss_legendre(f, lo, hi) -> float:
 class TestFunction:
     """A catalog entry: evaluators plus verified metadata.
 
-    ``grad_l1`` is the L1 norm of the gradient for Sobolev entries and absent
-    for indicator-type entries; ``grad_bv`` is the total-variation mass and is
-    defined for both (they coincide on W^{1,1}).  ``grad_lp`` maps p to the
-    L^p norm of the gradient where finite.  ``kinks`` lists points where the
-    gradient is undefined so derivative checks can avoid them.  The smooth
-    radial entries (``smooth_bump``, ``mollified_indicator``) are built by one
-    constructor, ``_radial``, from their profile and its radial derivative.
+    ``grad_bv`` is the total-variation mass of the gradient, defined for
+    Sobolev and indicator-type entries alike.  ``grad_lp`` maps p to the L^p
+    norm of the gradient where finite.  ``breakpoints`` lists the points
+    where the entry is not smooth, the kinks of its gradient among them, so
+    derivative checks can avoid them.  Two facts are derived, not stored:
+    ``grad_l1`` is ``grad_bv`` where a gradient exists and absent otherwise
+    (the two coincide on W^{1,1}), and ``compact_support`` holds when both
+    plateaus are 0.  The smooth radial entries (``smooth_bump``,
+    ``mollified_indicator``) are built by one constructor, ``_radial``, from
+    their profile and its radial derivative; the line transforms
+    (``dilate``, ``shift``, ``reflect``, ``scale_values``, ``negate``) are
+    one affine map, ``_affine``.
     """
 
     id: str
@@ -140,15 +136,12 @@ class TestFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]]
     support: tuple[tuple[float, float], ...]
-    compact_support: bool
     sup_norm: float
     plateau_left: float = 0.0
     plateau_right: float = 0.0
-    grad_l1: Optional[float] = None
     grad_bv: Optional[float] = None
     grad_lp: Optional[Callable[[float], float]] = None
     lip: Optional[float] = None
-    kinks: tuple[float, ...] = ()
     jumps: tuple[tuple[float, float], ...] = ()
     breakpoints: tuple[float, ...] = ()
     # slicer(theta, offset): the line profile of the 2D slice at that offset,
@@ -156,6 +149,14 @@ class TestFunction:
     # rotation2d passes 0.
     slicer: Optional[Callable[[float, float], Optional[LineProfile]]] = None
     meta: tuple = ()
+
+    @property
+    def compact_support(self) -> bool:
+        return self.plateau_left == 0.0 and self.plateau_right == 0.0
+
+    @property
+    def grad_l1(self) -> Optional[float]:
+        return self.grad_bv if self.grad is not None else None
 
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
@@ -208,22 +209,25 @@ def _tent_grad(x):
     return out
 
 
-def _make_tent(scale: float = 1.0, ident: str = "tent") -> TestFunction:
+def _make_tent() -> TestFunction:
     return TestFunction(
-        id=ident,
+        id="tent",
         dim=1,
-        eval=lambda x: scale * _tent_eval(x),
-        grad=lambda x: scale * _tent_grad(x),
+        eval=_tent_eval,
+        grad=_tent_grad,
         support=((0.0, 1.0),),
-        compact_support=True,
-        sup_norm=0.5 * scale,
-        grad_l1=scale,
-        grad_bv=scale,
-        grad_lp=lambda p: scale,
-        lip=scale,
-        kinks=(0.0, 0.5, 1.0),
+        sup_norm=0.5,
+        grad_bv=1.0,
+        grad_lp=lambda p: 1.0,
+        lip=1.0,
         breakpoints=(0.0, 0.5, 1.0),
     )
+
+
+def _make_linear_ramp(c: float) -> TestFunction:
+    if not 0 < c < math.inf:
+        raise ValueError(f"linear_ramp slope must be finite and positive, got {c}")
+    return _affine(_make_tent(), a=c, id=f"linear_ramp({c:g})")
 
 
 def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> TestFunction:
@@ -237,8 +241,6 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
     slices of the plane and the gradient norms, radial integrals with weight
     r^(dim-1) over the collar [flat_to, radius].
     """
-    if dim not in (1, 2):
-        raise ValueError(f"{ident} supports dim 1 or 2, got {dim}")
     dim = int(dim)
     area = sphere_area(dim)
 
@@ -283,7 +285,6 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
             sup=float(f(0.0)), breakpoints=(-w, 0.0, w),
         )
 
-    grad_l1 = 2.0 * sup if dim == 1 else grad_lp(1.0)  # a monotone line profile: TV = 2 sup
     # 0.0 - flat_to is +0.0 when there is no plateau
     line_breakpoints = tuple(sorted({-radius, 0.0 - flat_to, 0.0, flat_to, radius}))
     return TestFunction(
@@ -292,10 +293,8 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
         eval=ev,
         grad=gr,
         support=((-radius, radius),) * dim,
-        compact_support=True,
         sup_norm=sup,
-        grad_l1=grad_l1,
-        grad_bv=grad_l1,
+        grad_bv=2.0 * sup if dim == 1 else grad_lp(1.0),  # a monotone line profile: TV = 2 sup
         grad_lp=grad_lp,
         lip=lip,
         breakpoints=line_breakpoints if dim == 1 else (),
@@ -346,11 +345,8 @@ def _make_halfline_step() -> TestFunction:
         eval=ev,
         grad=None,
         support=((0.0, 0.0),),  # the gradient (a point mass) lives at 0
-        compact_support=False,
         sup_norm=1.0,
-        plateau_left=0.0,
         plateau_right=1.0,
-        grad_l1=None,
         grad_bv=1.0,
         lip=0.0,
         jumps=((0.0, 1.0),),
@@ -372,9 +368,7 @@ def _make_interval_indicator(length: float) -> TestFunction:
         eval=ev,
         grad=None,
         support=((0.0, length),),
-        compact_support=True,
         sup_norm=1.0,
-        grad_l1=None,
         grad_bv=2.0,
         lip=0.0,
         jumps=((0.0, 1.0), (length, 1.0)),
@@ -385,44 +379,39 @@ def _make_interval_indicator(length: float) -> TestFunction:
 def _make_ball_indicator(radius: float, dim: int) -> TestFunction:
     if not 0 < radius < math.inf:
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
+    ident = f"ball_indicator({radius:g})"
     if dim == 1:
-        tf = _make_interval_indicator(2 * radius)
-        shifted = shift(tf, -radius)
-        return replace(shifted, id=f"ball_indicator({radius:g})")
-    if dim == 2:
+        return _affine(_make_interval_indicator(2 * radius), c=-radius, id=ident)
 
-        def ev(xy):
-            xy = np.atleast_2d(np.asarray(xy, dtype=float))
-            return (xy[:, 0] ** 2 + xy[:, 1] ** 2 <= radius * radius).astype(float)
+    def ev(xy):
+        xy = np.atleast_2d(np.asarray(xy, dtype=float))
+        return (xy[:, 0] ** 2 + xy[:, 1] ** 2 <= radius * radius).astype(float)
 
-        def slicer(theta, offset):
-            if abs(offset) >= radius:
-                return None
-            w = math.sqrt(radius * radius - offset * offset)
+    def slicer(theta, offset):
+        if abs(offset) >= radius:
+            return None
+        w = math.sqrt(radius * radius - offset * offset)
 
-            def f(t):
-                t = np.asarray(t, dtype=float)
-                return (np.abs(t) <= w).astype(float)
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return (np.abs(t) <= w).astype(float)
 
-            return LineProfile(
-                f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=0.0, sup=1.0,
-                jumps=((-w, 1.0), (w, 1.0)), breakpoints=(-w, w),
-            )
-
-        return TestFunction(
-            id=f"ball_indicator({radius:g})",
-            dim=2,
-            eval=ev,
-            grad=None,
-            support=((-radius, radius), (-radius, radius)),
-            compact_support=True,
-            sup_norm=1.0,
-            grad_l1=None,
-            grad_bv=2.0 * math.pi * radius,
-            lip=0.0,
-            slicer=slicer,
+        return LineProfile(
+            f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=0.0, sup=1.0,
+            jumps=((-w, 1.0), (w, 1.0)), breakpoints=(-w, w),
         )
-    raise ValueError(f"ball_indicator supports dim 1 or 2, got {dim}")
+
+    return TestFunction(
+        id=ident,
+        dim=2,
+        eval=ev,
+        grad=None,
+        support=((-radius, radius), (-radius, radius)),
+        sup_norm=1.0,
+        grad_bv=2.0 * math.pi * radius,
+        lip=0.0,
+        slicer=slicer,
+    )
 
 
 def mollified_indicator(m: int, dim: int = 1) -> TestFunction:
@@ -452,66 +441,63 @@ def mollified_indicator(m: int, dim: int = 1) -> TestFunction:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def dilate(tf: TestFunction, t: float) -> TestFunction:
-    """Return x -> u(x / t) with metadata transformed accordingly (dim 1)."""
+def _affine(tf: TestFunction, t: float = 1.0, c: float = 0.0, a: float = 1.0, *, id: str) -> TestFunction:
+    """Return x -> a * u((x - c) / t) (dim 1), with every field mapped here.
+
+    A point x of u moves to t x + c; for t < 0 the support's ends and the
+    plateaus trade places.  Values scale by a, the sup norm and the variation
+    by |a|, the Lipschitz constant by |a| / |t|, the L^p norm of the gradient
+    by |a| |t|^(1/p - 1), and 0 * u declares no jumps.  A step the defaults
+    leave is exact (x - 0.0, division by 1, product with 1), as is t = -1, so
+    a transform rounds only what it changes.
+    """
     if tf.dim != 1:
-        raise ValueError("dilate only supports one-dimensional entries")
-    if not t > 0:
-        raise ValueError(f"dilation factor must be positive, got {t}")
-    base_lp = tf.grad_lp
+        raise ValueError(f"{id}: the transforms act on one-dimensional entries, not dim {tf.dim}")
+    lead = 0.0 - c  # -c, but +0.0 at c = 0, where x * t - lead is x * t exactly, also at -0.0
+    gain, stretch = abs(a), abs(t)
+
+    def inner(x):
+        return (np.asarray(x, dtype=float) - c) / t
+
+    def place(x):
+        return x * t - lead
+
+    lo, hi = map(place, tf.support[0])
+    left, right = a * tf.plateau_left, a * tf.plateau_right
+    if t < 0:
+        lo, hi, left, right = hi, lo, right, left
     return replace(
         tf,
-        id=f"{tf.id}~dilate({t:g})",
-        eval=lambda x, _t=t: tf.eval(np.asarray(x, dtype=float) / _t),
-        grad=(None if tf.grad is None else (lambda x, _t=t: tf.grad(np.asarray(x, dtype=float) / _t) / _t)),
-        support=((tf.support[0][0] * t, tf.support[0][1] * t),),
-        sup_norm=tf.sup_norm,
-        grad_l1=tf.grad_l1,
-        grad_bv=tf.grad_bv,
-        grad_lp=(None if base_lp is None else (lambda p, _t=t: base_lp(p) * _t ** (1.0 / p - 1.0))),
-        lip=(None if tf.lip is None else tf.lip / t),
-        kinks=tuple(k * t for k in tf.kinks),
-        jumps=tuple((loc * t, sz) for loc, sz in tf.jumps),
-        breakpoints=tuple(b * t for b in tf.breakpoints),
+        id=id,
+        eval=lambda x: a * tf.eval(inner(x)),
+        grad=(None if tf.grad is None else (lambda x: a * tf.grad(inner(x)) / t)),
+        support=((lo, hi),),
+        sup_norm=gain * tf.sup_norm,
+        plateau_left=left,
+        plateau_right=right,
+        grad_bv=(None if tf.grad_bv is None else gain * tf.grad_bv),
+        grad_lp=(None if tf.grad_lp is None else (lambda p: gain * tf.grad_lp(p) * stretch ** (1.0 / p - 1.0))),
+        lip=(None if tf.lip is None else gain * tf.lip / stretch),
+        jumps=tuple((place(loc), gain * size) for loc, size in tf.jumps if gain > 0),
+        breakpoints=tuple(map(place, tf.breakpoints)),
     )
+
+
+def dilate(tf: TestFunction, t: float) -> TestFunction:
+    """Return x -> u(x / t) (dim 1, t > 0)."""
+    if not t > 0:
+        raise ValueError(f"dilation factor must be positive, got {t}")
+    return _affine(tf, t=t, id=f"{tf.id}~dilate({t:g})")
 
 
 def shift(tf: TestFunction, c: float) -> TestFunction:
     """Return x -> u(x - c) (dim 1)."""
-    if tf.dim != 1:
-        raise ValueError("shift only supports one-dimensional entries")
-    return replace(
-        tf,
-        id=f"{tf.id}~shift({c:g})",
-        eval=lambda x, _c=c: tf.eval(np.asarray(x, dtype=float) - _c),
-        grad=(None if tf.grad is None else (lambda x, _c=c: tf.grad(np.asarray(x, dtype=float) - _c))),
-        support=((tf.support[0][0] + c, tf.support[0][1] + c),),
-        kinks=tuple(k + c for k in tf.kinks),
-        jumps=tuple((loc + c, sz) for loc, sz in tf.jumps),
-        breakpoints=tuple(b + c for b in tf.breakpoints),
-    )
+    return _affine(tf, c=c, id=f"{tf.id}~shift({c:g})")
 
 
 def scale_values(tf: TestFunction, c: float) -> TestFunction:
     """Return x -> c * u(x) (dim 1)."""
-    if tf.dim != 1:
-        raise ValueError("scale_values only supports one-dimensional entries")
-    a = abs(c)
-    base_lp = tf.grad_lp
-    return replace(
-        tf,
-        id=f"{tf.id}~scale({c:g})",
-        eval=lambda x, _c=c: _c * tf.eval(x),
-        grad=(None if tf.grad is None else (lambda x, _c=c: _c * tf.grad(x))),
-        sup_norm=a * tf.sup_norm,
-        plateau_left=c * tf.plateau_left,
-        plateau_right=c * tf.plateau_right,
-        grad_l1=(None if tf.grad_l1 is None else a * tf.grad_l1),
-        grad_bv=(None if tf.grad_bv is None else a * tf.grad_bv),
-        grad_lp=(None if base_lp is None else (lambda p, _a=a: _a * base_lp(p))),
-        lip=(None if tf.lip is None else a * tf.lip),
-        jumps=tuple((loc, a * sz) for loc, sz in tf.jumps if a > 0),  # 0 * u has none
-    )
+    return _affine(tf, a=c, id=f"{tf.id}~scale({c:g})")
 
 
 def negate(tf: TestFunction) -> TestFunction:
@@ -520,26 +506,24 @@ def negate(tf: TestFunction) -> TestFunction:
 
 def reflect(tf: TestFunction) -> TestFunction:
     """Return x -> u(-x) (dim 1)."""
-    if tf.dim != 1:
-        raise ValueError("reflect only supports one-dimensional entries")
-    lo, hi = tf.support[0]
-    return replace(
-        tf,
-        id=f"{tf.id}~reflect",
-        eval=lambda x: tf.eval(-np.asarray(x, dtype=float)),
-        grad=(None if tf.grad is None else (lambda x: -tf.grad(-np.asarray(x, dtype=float)))),
-        support=((-hi, -lo),),
-        plateau_left=tf.plateau_right,
-        plateau_right=tf.plateau_left,
-        kinks=tuple(-k for k in tf.kinks),
-        jumps=tuple((-loc, sz) for loc, sz in tf.jumps),
-        breakpoints=tuple(-b for b in tf.breakpoints),
-    )
+    return _affine(tf, t=-1.0, id=f"{tf.id}~reflect")
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
+
+# name -> (builder(argument, dim), the argument of a bare name, the dims it takes)
+REGISTRY = {
+    "tent": (lambda _, dim: _make_tent(), None, (1,)),
+    "smooth_bump": (lambda _, dim: _make_smooth_bump(dim), None, (1, 2)),
+    "halfline_step": (lambda _, dim: _make_halfline_step(), None, (1,)),
+    "interval_indicator": (lambda length, dim: _make_interval_indicator(length), 1.0, (1,)),
+    "linear_ramp": (lambda c, dim: _make_linear_ramp(c), 1.0, (1,)),
+    "ball_indicator": (_make_ball_indicator, 1.0, (1, 2)),
+    "mollified_indicator": (mollified_indicator, 3, (1, 2)),
+}
+
 
 def _parse_id(ident: str) -> tuple[str, Optional[float]]:
     ident = ident.strip()
@@ -552,38 +536,18 @@ def _parse_id(ident: str) -> tuple[str, Optional[float]]:
 
 
 def make_standard(ident: str, dim: int = 1) -> TestFunction:
-    """Build a catalog entry from its string id: the standard entries plus the
-    mollified indicators.
+    """Build a catalog entry from its string id, ``name`` or ``name(value)``.
 
-    Parameterized ids take the form ``name(value)``; bare names use the
-    defaults interval_indicator(1), linear_ramp(1), ball_indicator(1),
-    mollified_indicator(3).
+    A bare name takes the default of ``REGISTRY``: interval_indicator(1),
+    linear_ramp(1), ball_indicator(1), mollified_indicator(3).
     """
     name, arg = _parse_id(ident)
-    if name == "mollified_indicator":
-        return mollified_indicator(3 if arg is None else arg, dim)
-    if name not in STANDARD_IDS:
-        known = ", ".join(STANDARD_IDS + ("mollified_indicator",))
-        raise KeyError(f"unknown catalog id {ident!r}; known: {known}")
-    if name in ("tent", "smooth_bump", "halfline_step", "interval_indicator", "linear_ramp"):
-        if dim != 1 and name != "smooth_bump":
-            raise ValueError(f"{name} is one-dimensional, got dim={dim}")
-    if name == "tent":
-        return _make_tent()
-    if name == "smooth_bump":
-        return _make_smooth_bump(dim)
-    if name == "halfline_step":
-        return _make_halfline_step()
-    if name == "interval_indicator":
-        return _make_interval_indicator(1.0 if arg is None else arg)
-    if name == "linear_ramp":
-        c = 1.0 if arg is None else arg
-        if not 0 < c < math.inf:
-            raise ValueError(f"linear_ramp slope must be finite and positive, got {c}")
-        return _make_tent(scale=c, ident=f"linear_ramp({c:g})")
-    if name == "ball_indicator":
-        return _make_ball_indicator(1.0 if arg is None else arg, dim)
-    raise AssertionError("unreachable")
+    if name not in REGISTRY:
+        raise KeyError(f"unknown catalog id {ident!r}; known: {', '.join(REGISTRY)}")
+    build, default, dims = REGISTRY[name]
+    if dim not in dims:
+        raise ValueError(f"{name} supports dim {' or '.join(map(str, dims))}, got {dim}")
+    return build(default if arg is None else arg, dim)
 
 
 get = make_standard  # the same registry under its older name

@@ -219,8 +219,6 @@ def _cmd_bbm(args):
 
 
 def _cmd_stopping(args):
-    if not args.gamma < -1:
-        raise ConfigError(f"the stopping construction requires gamma < -1, got {args.gamma}")
     u = catalog.make_standard(args.fn)
     lo, hi = u.support[0]
     dec = stopping_intervals(

@@ -57,7 +57,7 @@ class LevelSetQuery:
             raise ValueError(f"mc_samples must be an integer >= 1, got {self.mc_samples!r}")
         if self.annulus is not None:
             d, r = self.annulus
-            if d < 0 or r < d:
+            if not 0 <= d <= r:
                 raise ValueError(f"invalid annulus {self.annulus}")
         if self.u.dim != self.params.dim:
             raise ValueError(

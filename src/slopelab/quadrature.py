@@ -700,7 +700,7 @@ def measure_line(
     h_lo, h_hi = 0.0, math.inf
     if h_window is not None:
         h_lo, h_hi = h_window
-        if h_lo < 0 or h_hi < h_lo:
+        if not 0 <= h_lo <= h_hi:
             raise ValueError(f"invalid annulus {h_window}")
         if h_hi == h_lo:
             return EngineEstimate(0.0, 0.0, diagnostics={"empty_annulus": True})

@@ -59,13 +59,23 @@ def stopping_intervals(
         cuts = [c, *sorted(p for p in breakpoints if c < p < x), x]
         return max(sum(gauss_legendre(f, lo, hi) for lo, hi in zip(cuts, cuts[1:])), 0.0)
 
+    def least_length(c, rest):
+        """(1/2 / rest)^(1/q): no interval from c, with mass ``rest`` to its right, is shorter."""
+        try:
+            return (0.5 / rest) ** (1.0 / q_exp)
+        except OverflowError:
+            raise ValueError(
+                f"the interval from {c:g} is longer than the double range: "
+                f"(1/2 / {rest:g})^(1/{q_exp:g}) overflows"
+            ) from None
+
     total = mass(a, b)
     if total <= 0.0:
         raise ValueError("f must not be identically zero on its support")
 
     endpoints, residuals = [a], []
     # minimal possible interval length (paper's termination bound)
-    min_len = (2.0 * total) ** (1.0 / (gamma + 1.0))
+    min_len = least_length(a, total)
     max_steps = int(math.ceil((b - a) / min_len)) + 2
 
     for _ in range(max_steps):
@@ -76,7 +86,7 @@ def stopping_intervals(
                 f"no mass left on [{c:g}, {b:g}]: support metadata inconsistent with f"
             )
         # past b the map is (x - c)^q_exp * rest, which exceeds 1/2 at hi
-        lo, hi = c, max(b, c + (0.5 / rest) ** (1.0 / q_exp)) + 1.0
+        lo, hi = c, max(b, c + least_length(c, rest)) + 1.0
         at_hi = (hi - c) ** q_exp * rest
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             value = (mid - c) ** q_exp * mass(c, mid)

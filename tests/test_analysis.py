@@ -34,11 +34,9 @@ CONST = catalog.TestFunction(
     eval=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0),
     grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     support=((0.0, 1.0),),
-    compact_support=False,
     sup_norm=1.0,
     plateau_left=1.0,
     plateau_right=1.0,
-    grad_l1=0.0,
     grad_bv=0.0,
     grad_lp=lambda p: 0.0,
     lip=0.0,

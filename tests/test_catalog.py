@@ -38,7 +38,7 @@ def fd_gradient(tf, x, h=1e-6):
 def interior_points(tf, n=100, margin=1e-3):
     lo, hi = tf.support[0]
     pts = lo + (hi - lo) * RNG.random(4 * n)
-    for k in tf.kinks:
+    for k in tf.breakpoints:
         pts = pts[np.abs(pts - k) > margin]
     return pts[:n]
 
@@ -589,3 +589,61 @@ class TestJumpValidation:
 
     def test_jumps_at_both_edges_are_accepted(self):
         assert replace(self.BASE, jumps=((0.0, 2.0), (1.0, 0.5))).jumps == ((0.0, 2.0), (1.0, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# The derived fields, and the transforms as one affine map
+# ---------------------------------------------------------------------------
+
+def _all_entries():
+    for fid in LINE_IDS:
+        u = make_standard(fid)
+        yield fid, u
+        for name, variant in VARIANTS.items():
+            yield f"{fid}~{name}", variant(u)
+    for fid in ("smooth_bump", "ball_indicator(1)", "mollified_indicator(3)"):
+        yield f"{fid}@2", make_standard(fid, dim=2)
+    for m in range(4):
+        yield f"staircase(m={m})", staircase_function(CantorSpec(gamma=-0.5, m=m))
+    yield "block(m=2)", block_function(CantorSpec(gamma=-0.5, m=2))
+    yield "series(-0.5, 3)", counterexample_series(-0.5, 3)
+
+
+def bits(values):
+    """The raw 64-bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestDerivedFields:
+    def test_compact_support_and_grad_l1_follow_the_stored_fields(self):
+        entries = dict(_all_entries())
+        assert len(entries) == 6 * len(LINE_IDS) + 9
+        for name, u in entries.items():
+            assert u.compact_support == (u.plateau_left == 0.0 and u.plateau_right == 0.0), name
+            assert u.grad_l1 == (u.grad_bv if u.grad is not None else None), name
+
+    @pytest.mark.parametrize(
+        "u", [make_standard("halfline_step"), staircase_function(CantorSpec(gamma=-0.5, m=2))]
+    )
+    def test_zero_multiple_of_a_step_is_compactly_supported(self, u):
+        # both plateaus of 0 * u are 0; a stored flag used to keep u's False
+        assert not u.compact_support
+        assert scale_values(u, 0.0).compact_support
+
+
+class TestAffineComposition:
+    GRID = np.concatenate([np.linspace(-4.0, 4.0, 2001), [-0.0, 0.0, 1e-300, -1e-300]])
+
+    @pytest.mark.parametrize("fid", LINE_IDS)
+    def test_negate_and_reflect_twice_are_the_identity(self, fid):
+        u = make_standard(fid)
+        for twice in (negate(negate(u)), reflect(reflect(u))):
+            assert np.array_equal(bits(twice.eval(self.GRID)), bits(u.eval(self.GRID)))
+            if u.grad is not None:
+                assert np.array_equal(bits(twice.grad(self.GRID)), bits(u.grad(self.GRID)))
+
+    @pytest.mark.parametrize("fid", LINE_IDS)
+    @pytest.mark.parametrize("t", [0.25, 2.0, 8.0])
+    def test_dilation_by_a_power_of_two_is_exact(self, fid, t):
+        u = make_standard(fid)
+        assert np.array_equal(bits(dilate(u, t).eval(t * self.GRID)), bits(u.eval(self.GRID)))

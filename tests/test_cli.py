@@ -74,6 +74,16 @@ class TestBasicCommands:
             [math.sqrt(0.5), 1.0 + math.sqrt(2.0)], abs=1e-12
         )
 
+    def test_stopping_interval_near_the_double_range(self, tmp_path):
+        # the tent's mass is 1/4, so at gamma = -1.001 its one interval has
+        # length (1/2 / 1/4)^1000 = 2^1000, about 1.07e301; the calibration map
+        # x^0.001 / 4 is so flat there that it fixes x to about 1e-10
+        code, _, side = run(tmp_path, "stopping", ["stopping", "--fn", "tent", "--gamma", "-1.001"])
+        assert code == EXIT_OK
+        sidecar = json.loads(side.read_text())
+        assert sidecar["k"] == 1
+        assert sidecar["endpoints"] == [0.0, pytest.approx(2.0**1000, rel=1e-9)]
+
 
 class TestEveryCommandRuns:
     """End-to-end runs of the commands no other test reaches; ``series`` and
@@ -137,8 +147,20 @@ class TestExitCodes:
         )
         assert code == EXIT_BAD_CONFIG
 
+    def test_stopping_interval_past_the_double_range_is_config_error(self, tmp_path):
+        # at gamma = -1.0001 the tent's one interval would be 2^10000 long
+        code, _, _ = run(tmp_path, "x", ["stopping", "--fn", "tent", "--gamma", "-1.0001"])
+        assert code == EXIT_BAD_CONFIG
+
     @pytest.mark.parametrize(
-        "flag,value", [("--gamma", "nan"), ("--p", "inf"), ("--lambda", "inf")]
+        "flag,value",
+        [
+            ("--gamma", "nan"),
+            ("--p", "inf"),
+            ("--lambda", "inf"),
+            ("--delta", "nan"),
+            ("--r-max", "nan"),
+        ],
     )
     def test_non_finite_input_is_config_error(self, tmp_path, flag, value):
         args = {"--gamma": "-2", "--p": "1", "--lambda": "1", flag: value}

@@ -41,7 +41,7 @@ from slopelab.cantor import CantorSpec, staircase_function
 from slopelab.measure import LevelSetQuery, nu_measure
 from slopelab.params import Params
 
-for fid in catalog.STANDARD_IDS + ("mollified_indicator(3)",):
+for fid in catalog.REGISTRY:
     u = catalog.make_standard(fid)
     nu_measure(LevelSetQuery(u=u, params=Params(dim=1, p=1.0, gamma=1.0), lam=4.0,
                              method="grid1d", rel_tol=0.05))

@@ -240,7 +240,6 @@ class TestClosedFormOracle:
             eval=lambda x: np.full_like(np.asarray(x, dtype=float), 3.0),
             grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             support=((0.0, 1.0),),
-            compact_support=False,
             sup_norm=3.0,
             plateau_left=3.0,
             plateau_right=3.0,
@@ -367,6 +366,23 @@ class TestTruncation:
         q = LevelSetQuery(u=tent, params=P(0.0), lam=0.5)
         vals = [nu_measure(dataclasses.replace(q, annulus=(2.0**-k, 1.0))).value for k in (4, 6, 8)]
         assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("method", ["grid1d", "montecarlo"])
+    @pytest.mark.parametrize(
+        "annulus", [(math.nan, 1.0), (0.0, math.nan), (-0.1, 1.0), (0.5, 0.25)]
+    )
+    def test_invalid_annulus_is_rejected(self, method, annulus):
+        # a NaN inner radius used to fail inside numpy under grid1d, and
+        # montecarlo measured the whole plane as if there were no annulus
+        with pytest.raises(ValueError, match="invalid annulus"):
+            LevelSetQuery(
+                u=make_standard("tent"), params=P(-0.5), lam=0.2, annulus=annulus, method=method
+            )
+
+    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_the_engine_rejects_a_nan_window(self, window):
+        with pytest.raises(ValueError, match="invalid annulus"):
+            measure_line(make_standard("tent").line_profile(), -0.5, -0.5, 0.2, h_window=window)
 
 
 class TestInvariants:

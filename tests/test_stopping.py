@@ -61,6 +61,23 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             stopping_intervals(np.zeros_like, (0.0, 1.0), -2.0)
 
+    @pytest.mark.parametrize(
+        "height,length,gamma,start",
+        [
+            # the first interval: (1/2 / 1/4)^(1/0.0001) = 2^10000
+            (0.25, 1.0, -1.0001, "0"),
+            # the third: after two intervals of about 1/2, a mass of 0.0986 is
+            # left, and (1/2 / 0.0986)^500 exceeds the double range
+            (1.0, 1.1, -1.002, "1.00138"),
+        ],
+    )
+    def test_interval_past_the_double_range_is_rejected(self, height, length, gamma, start):
+        def f(t):
+            return np.full_like(t, height)
+
+        with pytest.raises(ValueError, match=f"interval from {start} is longer than the double range"):
+            stopping_intervals(f, (0.0, length), gamma, breakpoints=(0.0, length))
+
 
 MOLLIFIED = mollified_indicator(3)
 ORACLE_CASES = {

@@ -121,7 +121,9 @@ class TestFunction:
     Sobolev and indicator-type entries alike.  ``grad_lp`` maps p to the L^p
     norm of the gradient where finite.  ``breakpoints`` lists the points
     where the entry is not smooth, the kinks of its gradient among them, so
-    derivative checks can avoid them.  Two facts are derived, not stored:
+    derivative checks can avoid them.  ``mirror`` is a point c of a line
+    entry with u(2c - x) = +-u(x) + const, or None: the line engine then
+    refines half of the interior pairs.  Two facts are derived, not stored:
     ``grad_l1`` is ``grad_bv`` where a gradient exists and absent otherwise
     (the two coincide on W^{1,1}), and ``compact_support`` holds when both
     plateaus are 0.  The smooth radial entries (``smooth_bump``,
@@ -144,9 +146,11 @@ class TestFunction:
     lip: Optional[float] = None
     jumps: tuple[tuple[float, float], ...] = ()
     breakpoints: tuple[float, ...] = ()
+    mirror: Optional[float] = None
     # slicer(theta, offset): the line profile of the 2D slice at that offset,
     # or None off the support.  Every entry is radial, so theta is unused;
-    # rotation2d passes 0.
+    # rotation2d passes 0.  A radial slice is even along its chord, so its
+    # mirror is 0.
     slicer: Optional[Callable[[float, float], Optional[LineProfile]]] = None
     meta: tuple = ()
 
@@ -175,6 +179,7 @@ class TestFunction:
             sup=self.sup_norm,
             jumps=self.jumps,
             breakpoints=self.breakpoints,
+            mirror=self.mirror,
         )
 
     def descriptor(self) -> dict:
@@ -221,6 +226,7 @@ def _make_tent() -> TestFunction:
         grad_lp=lambda p: 1.0,
         lip=1.0,
         breakpoints=(0.0, 0.5, 1.0),
+        mirror=0.5,
     )
 
 
@@ -282,7 +288,7 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
 
         return LineProfile(
             f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=lip,
-            sup=float(f(0.0)), breakpoints=(-w, 0.0, w),
+            sup=float(f(0.0)), breakpoints=(-w, 0.0, w), mirror=0.0,
         )
 
     # 0.0 - flat_to is +0.0 when there is no plateau
@@ -298,6 +304,7 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
         grad_lp=grad_lp,
         lip=lip,
         breakpoints=line_breakpoints if dim == 1 else (),
+        mirror=0.0 if dim == 1 else None,
         slicer=slicer if dim == 2 else None,
     )
 
@@ -373,6 +380,7 @@ def _make_interval_indicator(length: float) -> TestFunction:
         lip=0.0,
         jumps=((0.0, 1.0), (length, 1.0)),
         breakpoints=(0.0, length),
+        mirror=0.5 * length,
     )
 
 
@@ -398,7 +406,7 @@ def _make_ball_indicator(radius: float, dim: int) -> TestFunction:
 
         return LineProfile(
             f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=0.0, sup=1.0,
-            jumps=((-w, 1.0), (w, 1.0)), breakpoints=(-w, w),
+            jumps=((-w, 1.0), (w, 1.0)), breakpoints=(-w, w), mirror=0.0,
         )
 
     return TestFunction(
@@ -447,9 +455,10 @@ def _affine(tf: TestFunction, t: float = 1.0, c: float = 0.0, a: float = 1.0, *,
     A point x of u moves to t x + c; for t < 0 the support's ends and the
     plateaus trade places.  Values scale by a, the sup norm and the variation
     by |a|, the Lipschitz constant by |a| / |t|, the L^p norm of the gradient
-    by |a| |t|^(1/p - 1), and 0 * u declares no jumps.  A step the defaults
-    leave is exact (x - 0.0, division by 1, product with 1), as is t = -1, so
-    a transform rounds only what it changes.
+    by |a| |t|^(1/p - 1), and a jump scaled to 0 (by a = 0, or by underflow)
+    is dropped.  A mirror point moves as a point does, to c + t c_old.  A
+    step the defaults leave is exact (x - 0.0, division by 1, product with
+    1), as is t = -1, so a transform rounds only what it changes.
     """
     if tf.dim != 1:
         raise ValueError(f"{id}: the transforms act on one-dimensional entries, not dim {tf.dim}")
@@ -478,8 +487,9 @@ def _affine(tf: TestFunction, t: float = 1.0, c: float = 0.0, a: float = 1.0, *,
         grad_bv=(None if tf.grad_bv is None else gain * tf.grad_bv),
         grad_lp=(None if tf.grad_lp is None else (lambda p: gain * tf.grad_lp(p) * stretch ** (1.0 / p - 1.0))),
         lip=(None if tf.lip is None else gain * tf.lip / stretch),
-        jumps=tuple((place(loc), gain * size) for loc, size in tf.jumps if gain > 0),
+        jumps=tuple((place(loc), gain * size) for loc, size in tf.jumps if gain * size > 0),
         breakpoints=tuple(map(place, tf.breakpoints)),
+        mirror=None if tf.mirror is None else place(tf.mirror),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,9 @@ class LineProfile:
     ``jumps`` lists every jump of f on [lo, hi] as (location, size), those
     at lo and hi against the plateaus included: the engine reads all of
     them from this declaration and does not search the profile for any.
+    ``mirror`` is a point c with f(2c - x) = +-f(x) + const, or None: every
+    superlevel set of |f(x) - f(y)| is then symmetric under
+    (x, y) -> (2c - y, 2c - x), and c must be the centre of [lo, hi].
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -36,10 +39,17 @@ class LineProfile:
     sup: float                       # sup |f|
     jumps: tuple[Jump, ...] = ()
     breakpoints: tuple[float, ...] = ()
+    mirror: Optional[float] = None
 
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError("profile interval is empty")
+        # a transform rounds lo, hi and c by about an ulp each, so c is the centre to a few ulps
+        slack = 4.0 * np.finfo(float).eps * (abs(self.lo) + abs(self.hi))
+        if self.mirror is not None and not abs(self.lo + self.hi - 2.0 * self.mirror) <= slack:
+            raise ValueError(
+                f"mirror {self.mirror!r} is not the centre of [lo, hi] = [{self.lo!r}, {self.hi!r}]"
+            )
         for loc, size in self.jumps:
             if not self.lo <= loc <= self.hi:
                 raise ValueError(

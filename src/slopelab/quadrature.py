@@ -24,6 +24,12 @@ split into two exhaustive families:
   continuous edge it is sampled straight across, so the edge is not refined
   as if it were a level-set boundary.  Edge jumps, like interior ones, are
   read from the declarations, never searched for.
+* a profile that declares a mirror point c (f(2c - x) = +-f(x) + const)
+  has interior member sets symmetric under (x, h) -> (2c - x - h, h), and
+  the weight depends on h alone.  Without a box, a region or interface
+  points, the cells cover only the half domain 2x + h < 2c: the mirror
+  line is a clipped edge of slope 2, whose straddling cells weigh their part
+  inside in the same closed form, and the half's masses count twice.
 
 Near the diagonal, one rule, ``near_diagonal``, gives the cutoff below which
 membership is provably impossible or the bound on the mass below a cutoff,
@@ -182,27 +188,29 @@ def _ramp_integral(gamma: float, span: float, a: float, b: float) -> float:
     return float(_ramp_primitive(gamma, span, b) - _ramp_primitive(gamma, span, a))
 
 
-def _cell_weight(gamma: float, x1, x2, h1, h2, top: float):
-    """Weight of the cells [x1, x2] x [h1, h2] inside the pair domain x + h < top.
+def _cell_weight(gamma: float, x1, x2, h1, h2, top: float, slope: int = 1):
+    """Weight of the cells [x1, x2] x [h1, h2] inside the pair domain slope x + h < top.
 
     A cell wholly inside weighs (x2 - x1) shell_weight(h1, h2), a cell wholly
     beyond the edge nothing.  A cell that straddles it has the full width up
-    to h = top - x2, and above that the width top - x1 - h until
-    h = top - x1: the integrand of the two-plateau ramp with span top - x1.
-    Rounding in the ramp's primitive is clipped, so that a weight is never
-    negative and never exceeds the whole cell's.  Cells have
-    0 < h1 <= h2 < inf, so they take the bare closed form: the masks of
-    ``shell_weight`` would add a sixth to a half to its time in every round.
+    to h = top - slope x2, and above that the width (top - slope x1 - h) / slope
+    until h = top - slope x1: the integrand of the two-plateau ramp with span
+    top - slope x1, divided by the slope.  Slope 1 is a support or box edge,
+    slope 2 a mirror line.  Rounding in the ramp's primitive is clipped, so
+    that a weight is never negative and never exceeds the whole cell's.
+    Cells have 0 < h1 <= h2 < inf, so they take the bare closed form: the
+    masks of ``shell_weight`` would add a sixth to a half to its time in
+    every round.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = (x2 - x1) * _power_integral(gamma, h1, h2)
-        cut = (x2 + h2 > top).nonzero()[0]
+        cut = (slope * x2 + h2 > top).nonzero()[0]
         if len(cut):
             x1, x2, h1, h2 = x1[cut], x2[cut], h1[cut], h2[cut]
-            span = top - x1
-            a = np.minimum(np.maximum(top - x2, h1), h2)  # the full width ends here
-            b = np.maximum(np.minimum(h2, span), a)       # the last pair inside
-            part = _ramp_primitive(gamma, span, a) - _ramp_primitive(gamma, span, b)
+            span = top - slope * x1
+            a = np.minimum(np.maximum(top - slope * x2, h1), h2)  # the full width ends here
+            b = np.maximum(np.minimum(h2, span), a)               # the last pair inside
+            part = (_ramp_primitive(gamma, span, a) - _ramp_primitive(gamma, span, b)) / slope
             part += (x2 - x1) * _power_integral(gamma, h1, a)
             w[cut] = np.minimum(np.maximum(part, 0.0, out=part), w[cut], out=part)
     return w
@@ -441,7 +449,7 @@ def _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi):
 # the interior cell engine
 # ---------------------------------------------------------------------------
 
-def _refine(member, cells, gamma, target, budget_left, top):
+def _refine(member, cells, gamma, target, budget_left, top, slope=1):
     """Round-based quadtree refinement of indicator cells, resumable.
 
     ``cells`` is (x1, x2, h1, h2, ok): cells [x1, x2] x [h1, h2] and their
@@ -471,12 +479,15 @@ def _refine(member, cells, gamma, target, budget_left, top):
     and no pair sampled again.  The lightest mixed cells past the cap of
     MAX_CELLS / 4 splits in a round are dropped, their mass unresolved.
 
-    The pair domain ends at x + h = ``top`` (inf for none), and the edge
-    enters through the weight, not the membership: a cell counts only its
-    part inside (``_cell_weight``), and no child wholly beyond the edge is
-    made.  ``member`` masks the edge only where the profile jumps there; at
-    a continuous edge it samples straight across, so a cell that straddles
-    the edge is split only where a level set crosses it.
+    The pair domain ends at slope x + h = ``top`` (inf for none), and the
+    edge enters through the weight, not the membership: a cell counts only
+    its part inside (``_cell_weight``), and no child wholly beyond the edge
+    is made.  ``member`` masks the edge only where the profile jumps there;
+    at a continuous edge it samples straight across, so a cell that
+    straddles the edge is split only where a level set crosses it.  A
+    domain of slope 2 is half of one whose cells the counts above were set
+    for, so it takes half of each: of MAX_CELLS, of the explore rounds'
+    40,000 cells, and so of the light-cell threshold's cell count.
 
     Sampling runs in blocks of ``_BLOCK`` cells, so that the grids, the
     profile's temporaries and ``member``'s results stay in cache.  The
@@ -501,6 +512,7 @@ def _refine(member, cells, gamma, target, budget_left, top):
     """
     x1, x2, h1, h2, ok = cells
     explore = _EXPLORE_ROUNDS if ok is None else 0  # rounds that split sampled-empty cells
+    max_cells, explore_cells = MAX_CELLS // slope, 40_000 // slope
     ok = np.empty((3, 3, len(x1)), dtype=bool) if ok is None else ok
     inside, dropped, unresolved, evals, rounds = 0.0, 0.0, 0.0, 0, 0
     parked = []  # mixed cells too light to split in earlier rounds
@@ -512,7 +524,7 @@ def _refine(member, cells, gamma, target, budget_left, top):
         return _joined(parked + [cells_at(idx)])
 
     while len(x1):
-        w = _cell_weight(gamma, x1, x2, h1, h2, top)
+        w = _cell_weight(gamma, x1, x2, h1, h2, top, slope)
         if not np.isfinite(w).all():
             raise ValueError(
                 f"non-finite interior cell weight at gamma={gamma:g} for separations "
@@ -540,7 +552,7 @@ def _refine(member, cells, gamma, target, budget_left, top):
         full = samples.all(axis=0)
         hit = samples.any(axis=0)
         rounds += 1
-        mixed = ~full if rounds <= explore and n <= 40_000 else hit & ~full
+        mixed = ~full if rounds <= explore and n <= explore_cells else hit & ~full
         inside += float(w[full].sum())
 
         sel = np.flatnonzero(mixed)
@@ -550,12 +562,12 @@ def _refine(member, cells, gamma, target, budget_left, top):
             return inside, dropped, frontier(sel), unresolved + total_mixed, evals, rounds, False
 
         # cells too light to split are parked, those sampled empty dropped
-        keep = mw > target / (2.0 * MAX_CELLS)
+        keep = mw > target / (2.0 * max_cells)
         light = ~keep & hit[sel]
         unresolved += float(mw[light].sum())
         parked.append(cells_at(sel[light]))
         sel, mw = sel[keep], mw[keep]
-        cutoff = MAX_CELLS // 4
+        cutoff = max_cells // 4
         if len(sel) > cutoff:
             order = np.argsort(mw, kind="stable")[::-1]
             lost = float(mw[order[cutoff:]].sum())
@@ -565,7 +577,10 @@ def _refine(member, cells, gamma, target, budget_left, top):
             break
         m = len(sel)
         # which children are made: with no edge, all of them
-        made = None if top == math.inf else _quarters_made(x1[sel], x2[sel], h1[sel], h2[sel], top)
+        made = (
+            None if top == math.inf
+            else _quarters_made(x1[sel], x2[sel], h1[sel], h2[sel], top, slope)
+        )
         counts = [m] * 4 if made is None else np.count_nonzero(made, axis=1).tolist()
         total = sum(counts)
         if evals + 9 * total > budget_left:
@@ -612,18 +627,18 @@ def _joined(parts):
     return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
 
-def _quarters_made(x1, x2, h1, h2, top):
-    """(4, n): which quarters of the cells are not wholly beyond x + h = top.
+def _quarters_made(x1, x2, h1, h2, top, slope):
+    """(4, n): which quarters of the cells are not wholly beyond slope x + h = top.
 
     Quarter q takes the x-half q % 2 and the h-half q // 2.
     """
-    xm = 0.5 * (x1 + x2)
+    sx1, sxm = slope * x1, slope * (0.5 * (x1 + x2))
     hm = _geometric_mid(h1, h2)
-    return np.stack([x1 + h1 < top, xm + h1 < top, x1 + hm < top, xm + hm < top])
+    return np.stack([sx1 + h1 < top, sxm + h1 < top, sx1 + hm < top, sxm + hm < top])
 
 
-def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top):
-    """Fresh cells over [x_lo, x_hi] x [h_lo, h_hi], none wholly beyond x + h = top."""
+def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top, slope):
+    """Fresh cells over [x_lo, x_hi] x [h_lo, h_hi], none wholly beyond slope x + h = top."""
     if x_lo >= x_hi or h_lo >= h_hi:
         return (np.empty(0),) * 4 + (None,)
     pts = profile.grid_points()
@@ -649,7 +664,7 @@ def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top):
     ex2 = np.repeat(edges[1:], n_shells)
     sh1 = np.tile(shells[:-1], len(edges) - 1)
     sh2 = np.tile(shells[1:], len(edges) - 1)
-    made = ex1 + sh1 < top
+    made = slope * ex1 + sh1 < top
     return ex1[made], ex2[made], sh1[made], sh2[made], None
 
 
@@ -712,7 +727,10 @@ def measure_line(
     # plateau interactions take over in closed form.  An edge is masked only
     # where the profile declares a jump there (a region predicate keeps the
     # box edge masked too); at a continuous edge the cells are clipped to it
-    # instead.  Every cell has x >= box_lo.
+    # instead.  Every cell has x >= box_lo.  A mirrored profile's interior
+    # pairs (x, x + h) and (2c - x - h, 2c - x) are members together, so
+    # without a box, a region or interface points the cells cover only
+    # 2x + h < 2c, clipped there, and count twice.
     if boxed:
         mask_lo, edge = False, box_hi
         mask_top = region is not None or any(loc == box_hi for loc, _ in profile.jumps)
@@ -720,7 +738,13 @@ def measure_line(
         edge_jumps = [j for j in profile.jumps if j[0] in (lo, hi)]
         jumps_at = {loc for loc, _ in edge_jumps}
         mask_lo, mask_top, edge = lo in jumps_at, hi in jumps_at, hi
-    top = math.inf if mask_top else edge
+    mirrored = (
+        profile.mirror is not None and not boxed and region is None and interface_points is None
+    )
+    if mirrored:
+        slope, top = 2, 2.0 * profile.mirror
+    else:
+        slope, top = 1, math.inf if mask_top else edge
 
     def f(a):
         # a profile callable is only asked for 1-D arrays
@@ -798,20 +822,25 @@ def measure_line(
     target = rel_tol * max(tail_v, 1.0) / 2.0
 
     def refine(cells):
+        # masses of a half domain count twice, so it is refined to half the target
         nonlocal inside, dropped, evals, rounds, exhausted
         got, lost, left, mass, n, r, exhausted = _refine(
-            member, cells, gamma, target, budget - evals, top
+            member, cells, gamma, target / slope, budget - evals, top, slope
         )
-        inside, dropped, evals, rounds = inside + got, dropped + lost, evals + n, rounds + r
-        return left, mass
+        inside, dropped = inside + slope * got, dropped + slope * lost
+        evals, rounds = evals + n, rounds + r
+        return left, slope * mass
+
+    def fresh(h1, h2):
+        return _initial_cells(profile, x_lo, x_hi, h1, h2, top, slope)
 
     cell_lo, rem = near(cell_lo)
-    frontier, unresolved = refine(_initial_cells(profile, x_lo, x_hi, cell_lo, cells_hi, top))
+    frontier, unresolved = refine(fresh(cell_lo, cells_hi))
     while not exhausted:
         tight = rel_tol * (inside + 0.5 * unresolved + tail_v) / 2.0
         new_lo, new_rem = near(cut.cut_for(max(tight / 2.0, 1e-300))) if lowering else (cell_lo, rem)
         if new_lo < cell_lo:
-            strip, mass = refine(_initial_cells(profile, x_lo, x_hi, new_lo, cell_lo, top))
+            strip, mass = refine(fresh(new_lo, cell_lo))
             frontier = frontier if exhausted else _joined([frontier, strip])
             cell_lo, rem, unresolved = new_lo, new_rem, unresolved + mass
         elif unresolved > tight and tight < target:
@@ -822,6 +851,8 @@ def measure_line(
             break
 
     diag.update(h_cut=cell_lo, near_remainder=rem, rounds=rounds)
+    if mirrored:
+        diag["mirror"] = profile.mirror
     value = 2.0 * (inside + 0.5 * unresolved + 0.5 * rem + tail_v)
     error = 2.0 * (0.5 * unresolved + 0.5 * rem + tail_e)
     est = EngineEstimate(value, error, evals, 2.0 * (tail_v + 0.5 * rem), diag)

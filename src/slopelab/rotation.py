@@ -9,7 +9,8 @@ the offsets s and -s collapse into one integral over s in [0, R] with weight
 and this module passes 0.  Each slice is handed to the line engine as its own
 profile, so slice-level metadata (chord jumps for indicators, the parent's
 Lipschitz constant for smooth entries) keeps the near-diagonal analysis
-rigorous.
+rigorous, and a slice's mirror at the chord's midpoint lets the engine refine
+half of its interior pairs.
 """
 
 from __future__ import annotations

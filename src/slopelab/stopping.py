@@ -6,7 +6,8 @@ I_i = [a_i, a_{i+1}] satisfies |I_i|^(-(gamma+1)) * integral of f over I_i
 = 1/2 exactly.  The defining map x -> (x - c)^(-(gamma+1)) * int_c^x f is
 continuous and increases from 0 to infinity, so each endpoint is a bracketed
 root; the construction covers the support after finitely many steps because
-interval lengths are bounded below by (2 ||f||_1)^(1/(gamma+1)).
+every interval that ends inside it carries a mass of at least
+(b - a)^(gamma+1) / 2, so at most 2 ||f||_1 (b - a)^(-(gamma+1)) of them fit.
 """
 
 from __future__ import annotations
@@ -74,9 +75,12 @@ def stopping_intervals(
         raise ValueError("f must not be identically zero on its support")
 
     endpoints, residuals = [a], []
-    # minimal possible interval length (paper's termination bound)
-    min_len = least_length(a, total)
-    max_steps = int(math.ceil((b - a) / min_len)) + 2
+    # A full interval I (one ending before b) carries the mass 1/2 |I|^-q >=
+    # 1/2 (b - a)^-q, so at most 2 total (b - a)^q of them fit.  The count is
+    # taken in logarithms, so that it neither divides by zero nor overflows;
+    # beyond e^709 steps the cap is past reach anyway.
+    log_full = math.log(2.0 * total) + q_exp * math.log(b - a)
+    max_steps = int(math.exp(min(log_full, 709.0))) + 2
 
     for _ in range(max_steps):
         c = endpoints[-1]

@@ -7,9 +7,11 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slopelab.cantor import CantorSpec, block_function, counterexample_series, staircase_function
 from slopelab.catalog import (
+    REGISTRY,
     dilate,
     get,
     make_standard,
@@ -587,6 +589,11 @@ class TestJumpValidation:
         prof = scale_values(make_standard("interval_indicator(1)"), 0.0).line_profile()
         assert prof.jumps == () and edge_mismatches(prof) == []
 
+    def test_underflowing_multiple_declares_no_jumps(self):
+        # 1e-200 * 1e-200 * u is the zero function: its jumps of size 0 are dropped
+        tiny = scale_values(scale_values(make_standard("interval_indicator(1)"), 1e-200), 1e-200)
+        assert tiny.jumps == () and tiny.line_profile().sup == 0.0
+
     def test_jumps_at_both_edges_are_accepted(self):
         assert replace(self.BASE, jumps=((0.0, 2.0), (1.0, 0.5))).jumps == ((0.0, 2.0), (1.0, 0.5))
 
@@ -647,3 +654,89 @@ class TestAffineComposition:
     def test_dilation_by_a_power_of_two_is_exact(self, fid, t):
         u = make_standard(fid)
         assert np.array_equal(bits(dilate(u, t).eval(t * self.GRID)), bits(u.eval(self.GRID)))
+
+
+# ---------------------------------------------------------------------------
+# Declared mirrors: u(2c - x) = +-u(x) + const, so that the line engine may
+# refine half of the interior pairs
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+MIRRORED_IDS = tuple(fid for fid in LINE_IDS if make_standard(fid).mirror is not None)
+TRANSFORMS = st.one_of(
+    st.tuples(st.just("dilate"), st.floats(0.05, 20.0)),
+    st.tuples(st.just("shift"), st.floats(-10.0, 10.0)),
+    st.tuples(st.just("scale"), st.floats(-8.0, 8.0)),
+    st.tuples(st.just("reflect"), st.none()),
+    st.tuples(st.just("negate"), st.none()),
+)
+APPLY = {
+    "dilate": dilate,
+    "shift": shift,
+    "scale": scale_values,
+    "reflect": lambda u, _: reflect(u),
+    "negate": lambda u, _: negate(u),
+}
+
+
+def mirror_defect(f, c, x, y):
+    """How far |f(2c - x) - f(2c - y)| is from |f(x) - f(y)|."""
+    v = f(np.array([x, y, 2.0 * c - x, 2.0 * c - y]))
+    return abs(abs(v[2] - v[3]) - abs(v[0] - v[1]))
+
+
+class TestDeclaredMirrors:
+    def test_every_registry_line_entry_but_the_step_declares_one(self):
+        names = {name for name, (_, _, dims) in REGISTRY.items() if 1 in dims}
+        assert names == {fid.split("(")[0] for fid in LINE_IDS}
+        assert {fid.split("(")[0] for fid in MIRRORED_IDS} == names - {"halfline_step"}
+
+    @pytest.mark.parametrize(
+        "u",
+        [block_function(CantorSpec(gamma=-0.5, m=2)), counterexample_series(-0.5, 3)],
+        ids=["block", "series"],
+    )
+    def test_blocks_and_series_declare_none(self, u):
+        assert u.mirror is None and u.line_profile().mirror is None
+
+    @given(
+        fid=st.sampled_from(MIRRORED_IDS),
+        ops=st.lists(TRANSFORMS, max_size=3),
+        s=st.floats(-1.25, 1.25),
+        r=st.floats(-1.25, 1.25),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_line_entries_and_their_transforms(self, fid, ops, s, r):
+        u = make_standard(fid)
+        for name, arg in ops:
+            u = APPLY[name](u, arg)
+        c = u.line_profile().mirror  # the profile checks that c is the centre
+        lo, hi = u.support[0]
+        x, y = c + s * (hi - lo), c + r * (hi - lo)
+        # 2c - x, the mirror and the transforms' points are each rounded:
+        # a few ulps of the abscissae, times the slope, plus a few of sup |u|
+        scale = abs(x) + abs(y) + 4.0 * abs(c) + abs(lo) + abs(hi)
+        for loc, _ in u.jumps:
+            assume(min(abs(x - loc), abs(y - loc)) > 64.0 * EPS * scale)
+        tol = 32.0 * EPS * (u.sup_norm + (u.lip or 0.0) * scale)
+        assert mirror_defect(u.eval, c, x, y) <= tol
+
+    @given(
+        fid=st.sampled_from(("smooth_bump", "ball_indicator(1)", "mollified_indicator(3)")),
+        offset=st.floats(0.0, 1.0, exclude_max=True),
+        s=st.floats(-1.25, 1.25),
+        r=st.floats(-1.25, 1.25),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_planar_slices(self, fid, offset, s, r):
+        # a radial slice is even along its chord: the mirror 0 holds bit for bit
+        u = make_standard(fid, dim=2)
+        prof = u.slicer(0.0, offset * u.support[0][1])
+        assert prof.mirror == 0.0
+        assert mirror_defect(prof.f, 0.0, s * prof.hi, r * prof.hi) == 0.0
+
+    @pytest.mark.parametrize("mirror", [0.25, 0.5 + 1e-12, math.nan, math.inf])
+    def test_profile_rejects_a_mirror_off_the_centre(self, mirror):
+        prof = make_standard("tent").line_profile()
+        with pytest.raises(ValueError, match=r"is not the centre of \[lo, hi\]"):
+            replace(prof, mirror=mirror)

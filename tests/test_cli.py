@@ -85,6 +85,22 @@ class TestBasicCommands:
         assert sidecar["endpoints"] == [0.0, pytest.approx(2.0**1000, rel=1e-9)]
 
 
+    @pytest.mark.parametrize(
+        "fid,k",
+        [
+            ("interval_indicator(2.5)", 5),
+            ("ball_indicator(1)", 4),
+            ("mollified_indicator(3)", 8),
+            ("mollified_indicator(6)", 8),
+        ],
+    )
+    def test_stopping_where_the_least_length_underflows(self, tmp_path, fid, k):
+        # (1/2 / mass)^1000 is 0 in double for these masses above 1/2
+        code, _, side = run(tmp_path, "stopping", ["stopping", "--fn", fid, "--gamma", "-1.001"])
+        assert code == EXIT_OK
+        assert json.loads(side.read_text())["k"] == k
+
+
 class TestEveryCommandRuns:
     """End-to-end runs of the commands no other test reaches; ``series`` and
     ``reproduce-all`` are left to the acceptance suite."""

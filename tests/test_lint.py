@@ -170,3 +170,27 @@ def test_the_check_sees_private_imports():
 def test_no_private_names_imported_across_modules(path):
     # a name another module needs is part of its module's interface
     assert private_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def global_statements(source: str) -> list[str]:
+    """Every ``global`` statement in a module, function bodies included."""
+    return [
+        f"line {node.lineno}: global {', '.join(node.names)}"
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)
+    ]
+
+
+def test_the_check_sees_global_statements():
+    source = (
+        "SLOPE = 1\nglobal TOP\n"
+        "def f():\n    global SLOPE, TOP\n    SLOPE = 2\n"
+        "def g():\n    x = 0\n    def h():\n        nonlocal x\n        x = 1\n    return h\n"
+    )
+    assert global_statements(source) == ["line 2: global TOP", "line 4: global SLOPE, TOP"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statements(path):
+    # state a query passes down (an edge, a slope, a budget) travels as
+    # arguments, so that queries stay reentrant
+    assert global_statements(path.read_text(encoding="utf-8")) == [], path.name

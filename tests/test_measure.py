@@ -111,7 +111,8 @@ class TestMemberWindow:
 
 
 class TestCellWeight:
-    # cells [x1, x2] x [h1, h2] against the pair domain x + h < 1
+    # cells [x1, x2] x [h1, h2] against the pair domain x + h < 1, and against
+    # the mirror line 2x + h < 1.6, which they meet in the same seven ways
     CELLS = {
         "inside": (0.1, 0.3, 0.2, 0.5),
         "full_width_then_ramp": (0.4, 0.6, 0.3, 0.55),
@@ -124,42 +125,47 @@ class TestCellWeight:
     GAMMAS = (-3.0, -1.0, -0.5, 0.0, 1.0)
 
     @staticmethod
-    def _reference(gamma, x1, x2, h1, h2, top=1.0):
-        """The x-integral of the exact h-integral of h^(gamma-1) over [h1, min(h2, top - x)]."""
+    def _reference(gamma, x1, x2, h1, h2, top=1.0, slope=1):
+        """The x-integral of the exact h-integral of h^(gamma-1) over
+        [h1, min(h2, top - slope x)]."""
         with mpmath.workdps(30):
             g, lo = mpmath.mpf(gamma), mpmath.mpf(h1)
 
             def inner(x):
-                b = min(mpmath.mpf(h2), top - x)
+                b = min(mpmath.mpf(h2), top - slope * x)
                 if b <= lo:
                     return mpmath.mpf(0)
                 return mpmath.log(b / lo) if gamma == 0.0 else (b**g - lo**g) / g
 
-            kinks = sorted({x1, x2, *(k for k in (top - h2, top - h1) if x1 < k < x2)})
+            edges = ((top - h2) / slope, (top - h1) / slope)
+            kinks = sorted({x1, x2, *(k for k in edges if x1 < k < x2)})
             return float(mpmath.quad(inner, kinks))
 
+    @pytest.mark.parametrize("slope,top", [(1, 1.0), (2, 1.6)])
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("cell", sorted(CELLS))
-    def test_matches_quadrature(self, cell, gamma):
+    def test_matches_quadrature(self, cell, gamma, slope, top):
         x1, x2, h1, h2 = (np.array([v]) for v in self.CELLS[cell])
-        got = float(quadrature._cell_weight(gamma, x1, x2, h1, h2, 1.0)[0])
+        got = float(quadrature._cell_weight(gamma, x1, x2, h1, h2, top, slope)[0])
         full = float(((x2 - x1) * shell_weight(gamma, h1, h2))[0])
+        exact = self._reference(gamma, *self.CELLS[cell], top=top, slope=slope)
         assert 0.0 <= got <= full
-        assert got == pytest.approx(self._reference(gamma, *self.CELLS[cell]), rel=1e-9, abs=0.0)
-        if cell == "inside":
+        assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
+        if float(slope * x2[0] + h2[0]) <= top:  # wholly inside
             assert got == full
-        if cell == "beyond":
+        if float(slope * x1[0] + h1[0]) >= top:  # wholly beyond
             assert got == 0.0
 
+    @pytest.mark.parametrize("slope", [1, 2])
     @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_tiling_sums_to_the_triangle(self, gamma):
-        # cells over [0, 1] x [1e-3, 1] cover {x >= 0, 1e-3 <= h, x + h < 1}, whose
-        # weight is the integral of (1 - h) h^(gamma-1) over [1e-3, 1]
+    def test_tiling_sums_to_the_triangle(self, gamma, slope):
+        # cells over [0, 1] x [1e-3, 1] cover {x >= 0, 1e-3 <= h, slope x + h < 1},
+        # whose weight is the integral of (1 - h) / slope h^(gamma-1) over [1e-3, 1]
         x1, x2, h1, h2 = _grid_cells(0.0, 1.0, 16, 1e-3, 1.0, 12)
-        got = float(quadrature._cell_weight(gamma, x1, x2, h1, h2, 1.0).sum())
+        got = float(quadrature._cell_weight(gamma, x1, x2, h1, h2, 1.0, slope).sum())
         with mpmath.workdps(30):
             g = mpmath.mpf(gamma)
-            exact = float(mpmath.quad(lambda h: (1 - h) * h ** (g - 1), [1e-3, 1.0]))
+            exact = float(mpmath.quad(lambda h: (1 - h) / slope * h ** (g - 1), [1e-3, 1.0]))
         assert got == pytest.approx(exact, rel=1e-10)
 
     def test_no_edge_keeps_the_shell_weight(self):
@@ -578,26 +584,29 @@ def pinned_reads():
 
 class TestSharedVertexSampling:
     # (value, error_bound, evaluations) from a full 3x3 sampling of every
-    # cell, with cells clipped to x + h < hi (x + h <= 1 for box_measure)
-    # where the profile is continuous there; sampling a split cell on its
-    # 5x5 half-step grid must not move a bit.  Jump edges and region
-    # predicates keep their masks and their numbers.
+    # cell; sampling a split cell on its 5x5 half-step grid must not move a
+    # bit.  The line entries are mirrored: their cells cover the half domain
+    # 2x + h < 2c, clipped at the mirror line, at half the target and half
+    # the cell caps, and count twice.  The boxed queries (box_measure,
+    # cross_term) keep the whole box, with cells clipped to x + h <= 1 where
+    # the profile is continuous there; jump edges and region predicates keep
+    # their masks and their numbers.
     PINNED = {
         "tent": (
             lambda: nu_measure(LevelSetQuery(u=make_standard("tent"), params=P(-0.5), lam=0.1)),
-            ("0x1.46412c803ca56p+5", "0x1.6add749a4f425p-7", 266085),
+            ("0x1.46414b775734dp+5", "0x1.ad24518691adcp-8", 289287),
         ),
         "smooth_bump": (
             lambda: nu_measure(
                 LevelSetQuery(u=make_standard("smooth_bump"), params=P(1.0), lam=0.5)
             ),
-            ("0x1.2934eb6377aaap+1", "0x1.d85be3334ecc4p-9", 413613),
+            ("0x1.2932f734c45a4p+1", "0x1.721326d08fdc2p-9", 440019),
         ),
         "mollified_indicator": (
             lambda: nu_measure(
                 LevelSetQuery(u=get("mollified_indicator(4)"), params=P(-2.0), lam=0.5)
             ),
-            ("0x1.c7d47b3da3d0ap+3", "0x1.35ff693e004f0p-7", 454266),
+            ("0x1.c7d1b9be46601p+3", "0x1.759c3a55f6344p-7", 51804),
         ),
         # b = -1 with no Lipschitz part: zero from the near-diagonal cut alone
         "indicator_b=-1": (
@@ -610,7 +619,7 @@ class TestSharedVertexSampling:
             lambda: nu_measure(
                 LevelSetQuery(u=make_standard("interval_indicator(1)"), params=P(-2.0), lam=0.25)
             ),
-            ("0x1.c0000a7f3fdb4p+3", "0x1.f7c3e3e300000p-17", 9639),
+            ("0x1.c0000a7f3fdb4p+3", "0x1.f7c3e3e300000p-17", 3060),
         ),
         "box_measure": (
             lambda: box_measure(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
@@ -626,7 +635,7 @@ class TestSharedVertexSampling:
                     u=make_standard("tent"), params=P(0.0), lam=0.5, annulus=(2**-8, 1.0)
                 )
             ),
-            ("0x1.3dd73914cdaf1p+3", "0x1.a9abad7b89e5cp-10", 375534),
+            ("0x1.3dd746a97baa8p+3", "0x1.0d364b84e8c21p-9", 240084),
         ),
     }
 
@@ -648,7 +657,7 @@ class TestSharedVertexSampling:
 
     def test_budget_partial_pinned(self, pinned_reads):
         assert pinned_reads["budget_partial"] == [
-            "0x1.1cb20376c278bp-1", "0x1.79a28e78b37bfp-10", 95976
+            "0x1.1c8f204ae40d2p-1", "0x1.f60989d60c698p-11", 111276
         ]
 
     def test_profile_points_at_most_stencil_pairs(self):
@@ -747,17 +756,17 @@ class TestBudgetPerQuery:
         assert est.evaluations == 0
 
     @pytest.mark.parametrize(
-        "budget", [1_000, 2_000, 50_000, 130_793, 186_299, 186_300, 527_778, 2_000_000]
+        "budget", [700, 2_000, 50_000, 130_793, 220_679, 220_680, 527_778, 2_000_000]
     )
     def test_evaluations_within_budget_unless_raised(self, budget):
-        # unbudgeted, this query takes 186,300 evaluations in three turns of
-        # one refinement; 1,000 is below its first round of 1,467 pairs
+        # unbudgeted, this query takes 220,680 evaluations in three turns of
+        # one refinement; 700 is below its first round of 747 pairs
         tent = make_standard("tent")
         q = LevelSetQuery(u=tent, params=P(1.0), lam=3.0, budget=budget)
         try:
             est = nu_measure(q)
         except BudgetExceededError as err:
-            assert budget < 186_300
+            assert budget < 220_680
             assert err.partial.evaluations <= budget
             assert err.partial.error < math.inf
             return
@@ -776,14 +785,86 @@ class TestBudgetPerQuery:
 class TestOneRefinement:
     # tent at gamma = 1, p = 1, lambda = 3: a preview and two passes, the
     # second from scratch, took 261,585 evaluations here (6,435 + 58,527 +
-    # 196,623); one refinement in three turns takes 186,300
+    # 196,623); one refinement of the half domain in three turns takes 220,680
     def test_no_work_is_redone(self):
         est = nu_measure(LevelSetQuery(u=make_standard("tent"), params=P(1.0), lam=3.0))
-        assert est.evaluations == 186_300 < 261_585
+        assert est.evaluations == 220_680 < 261_585
         assert est.error_bound <= 5e-3 * est.value
         # the value, 0.556, is below 1: the near cut is lowered in place to a
         # remainder of rel_tol scale / 4, in the one-sided units of diagnostics
         assert est.diagnostics["near_remainder"] <= 5e-3 * (est.value / 2.0) / 4.0
+
+
+class TestMirror:
+    """A mirrored profile's cells cover the half domain 2x + h < 2c and count twice."""
+
+    ENTRIES = (
+        "tent", "smooth_bump", "interval_indicator(1)", "linear_ramp(3)",
+        "mollified_indicator(4)", "ball_indicator(1)",
+    )
+    # (gamma, p, lambda) of each regime that samples pairs (below the
+    # Lipschitz constant, gamma = 0 is the slope verdict, which samples none);
+    # None is 1.5 L, or 0.5 with no continuous part
+    REGIMES = {
+        "gamma>0": (1.0, 1.0, 8.0),
+        "gamma=0,lam>L": (0.0, 1.0, None),
+        "-1<gamma<0,p=1": (-0.5, 1.0, 0.2),
+        "-1<gamma<0,p>1": (-0.5, 2.0, 0.2),
+        "gamma<-1": (-2.0, 1.0, 0.25),
+    }
+
+    @staticmethod
+    def agreeing(prof, gamma, b, lam, **controls):
+        """The mirrored and the whole-domain run, which must agree within their bounds."""
+        half = measure_line(prof, gamma, b, lam, **controls)
+        whole = measure_line(dataclasses.replace(prof, mirror=None), gamma, b, lam, **controls)
+        assert half.diagnostics["mirror"] == prof.mirror and "mirror" not in whole.diagnostics
+        assert abs(half.value - whole.value) <= half.error + whole.error
+        return half, whole
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("fid", ENTRIES)
+    def test_line_entries(self, fid, regime):
+        u = make_standard(fid)
+        gamma, p, lam = self.REGIMES[regime]
+        self.agreeing(u.line_profile(), gamma, gamma / p, lam or (1.5 * u.lip if u.lip else 0.5))
+
+    def test_annulus(self):
+        self.agreeing(make_standard("smooth_bump").line_profile(), 0.0, 0.0, 0.2,
+                      h_window=(2.0**-8, 1.0))
+
+    def test_rotation_slice(self):
+        prof = make_standard("smooth_bump", dim=2).slicer(0.0, 0.6)
+        self.agreeing(prof, 1.0, 1.0, 4.0, rel_tol=0.2)
+
+    def test_uncapped_query_halves_its_evaluations(self):
+        # 1,001,898 against 2,003,607 evaluations, with no round capped
+        half, whole = self.agreeing(make_standard("smooth_bump").line_profile(), 1.0, 0.5, 64.0)
+        assert half.evaluations / whole.evaluations == pytest.approx(0.5, abs=0.01)
+
+    def test_boxes_regions_and_interfaces_keep_the_whole_domain(self):
+        prof = make_standard("tent").line_profile()
+        for controls in (
+            dict(pair_box=(0.0, 1.0)),
+            dict(pair_box=(0.0, 1.0), region=lambda x, y: x < 0.5),
+            dict(interface_points=1),
+        ):
+            est = measure_line(prof, 1.0, 1.0, 8.0, rel_tol=0.05, **controls)
+            assert "mirror" not in est.diagnostics
+
+    def test_tent_brackets_its_plateau_integral(self):
+        # at gamma = -2, p = 1, lambda = 1/4 no interior pair is a member
+        # (h |u(x) - u(y)| <= 1/4 on [0, 1]), and the plateau pairs give
+        # 2 int_0^1 min((1 - x)^-2, 16 u(x)^2) dx = 8/3 (mpmath).  The cells
+        # stop at the mirror line 2x + h = 1, short of the edge x + h = 1,
+        # where plateau members beyond the edge would mark straddling cells
+        # mixed and leave a bound of about 0.0019
+        est = measure_line(make_standard("tent").line_profile(), -2.0, -2.0, 0.25)
+        exact = 2.0 * mpmath.quad(
+            lambda x: min((1 - x) ** -2, 16 * min(x, 1 - x) ** 2), [0, 0.5, 1]
+        )
+        assert float(exact) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        assert abs(est.value - 8.0 / 3.0) <= est.error <= 1e-5
 
 
 class TestRotationBudget:
@@ -792,7 +873,7 @@ class TestRotationBudget:
     )
 
     def test_slices_share_the_budget(self):
-        # unbudgeted, the 33 slices take 3,221,874 evaluations in all, and no
+        # unbudgeted, the 33 slices take 865,656 evaluations in all, and no
         # single slice reaches 500,000
         with pytest.raises(BudgetExceededError) as err:
             nu_measure(LevelSetQuery(**self.QUERY, budget=500_000))
@@ -807,7 +888,7 @@ class TestRotationBudget:
         try:
             est = nu_measure(LevelSetQuery(**self.QUERY, budget=budget))
         except BudgetExceededError as err:
-            assert budget <= 3_221_874
+            assert budget < 865_656
             assert err.partial.evaluations <= budget
             return
         assert est.evaluations <= budget
@@ -865,15 +946,17 @@ class TestInputValidation:
         assert calls == 0
 
 
-def _reference_refine(member, cells, gamma, target, budget_left, top=math.inf, min_rounds=2,
-                      reached=None):
+def _reference_refine(member, cells, gamma, target, budget_left, top=math.inf, slope=1,
+                      min_rounds=2, reached=None):
     """``quadrature._refine`` before blocked sampling, one round at a time.
 
     Every round samples and concatenates whole arrays and compacts them
-    after each weight computation; the children wholly beyond ``top`` are
-    compacted away before they are counted.  ``reached`` collects the
-    branches taken, so a test can show that its cases cover them.
+    after each weight computation; the children wholly beyond
+    slope x + h = ``top`` are compacted away before they are counted, and a
+    domain of slope 2 takes half of each cell count.  ``reached`` collects
+    the branches taken, so a test can show that its cases cover them.
     """
+    max_cells = MAX_CELLS // slope
     reached = set() if reached is None else reached
     x1, x2, h1, h2 = cells
     ok = None
@@ -882,10 +965,10 @@ def _reference_refine(member, cells, gamma, target, budget_left, top=math.inf, m
     evals = 0
     rounds = 0
     while len(x1):
-        w = quadrature._cell_weight(gamma, x1, x2, h1, h2, top)
+        w = quadrature._cell_weight(gamma, x1, x2, h1, h2, top, slope)
         if not np.isfinite(w).all():
             raise ValueError("non-finite interior cell weight")
-        if (x2 + h2 > top).any():
+        if (slope * x2 + h2 > top).any():
             reached.add("straddle")
         live = w > 0
         if ok is not None and not live.all():
@@ -906,7 +989,7 @@ def _reference_refine(member, cells, gamma, target, budget_left, top=math.inf, m
         counts = ok.sum(axis=(0, 1))
         full = counts == 9
         rounds += 1
-        if rounds <= min_rounds and len(x1) <= 40_000:
+        if rounds <= min_rounds and len(x1) <= 40_000 // slope:
             reached.add("explore")
             mixed = ~full
         else:
@@ -920,13 +1003,13 @@ def _reference_refine(member, cells, gamma, target, budget_left, top=math.inf, m
             unresolved += total_mixed
             break
 
-        keep = mw > target / (2.0 * MAX_CELLS)
+        keep = mw > target / (2.0 * max_cells)
         if rounds > min_rounds:
             unresolved += float(mw[~keep].sum())
         else:
             unresolved += float(mw[~keep & (counts[sel] > 0)].sum())
         sel, mw = sel[keep], mw[keep]
-        cutoff = MAX_CELLS // 4
+        cutoff = max_cells // 4
         if len(sel) > cutoff:
             reached.add("cap")
             order = np.argsort(mw, kind="stable")[::-1]
@@ -941,7 +1024,7 @@ def _reference_refine(member, cells, gamma, target, budget_left, top=math.inf, m
         x2 = np.concatenate([xm, mx2, xm, mx2])
         h1 = np.concatenate([mh1, mh1, hm, hm])
         h2 = np.concatenate([hm, hm, mh2, mh2])
-        made = x1 + h1 < top
+        made = slope * x1 + h1 < top
         if evals + 9 * int(made.sum()) > budget_left:
             reached.add("budget_split")
             return inside, unresolved + float(w[sel].sum()), evals, rounds, True
@@ -990,34 +1073,43 @@ def _x_stripes(x, h):
 
 
 class TestBlockedRefine:
-    # (member, cells, gamma, target, budget, edge of the pair domain)
+    # (member, cells, gamma, target, budget, edge of the pair domain, its slope)
     CASES = {
-        "band": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), 0.5, 1e-7, 10**9, math.inf),
-        "band_gamma<0": (_band, (0.0, 1.0, 48, 1e-3, 1.0, 16), -0.5, 1e-5, 10**9, math.inf),
+        "band": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), 0.5, 1e-7, 10**9, math.inf, 1),
+        "band_gamma<0": (_band, (0.0, 1.0, 48, 1e-3, 1.0, 16), -0.5, 1e-5, 10**9, math.inf, 1),
         "stripes_capped": (
-            _stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), -0.5, 1e-9, 12_000_000, math.inf
+            _stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), -0.5, 1e-9, 12_000_000, math.inf, 1
         ),
         # tiny cells at small h are dropped in the explore rounds, sampled empty or not
         "x_stripes_drop": (
-            _x_stripes, (0.0, 1.0, 64, 1e-12, 1.0, 40), 1.0, 1e-4, 3_000_000, math.inf
+            _x_stripes, (0.0, 1.0, 64, 1e-12, 1.0, 40), 1.0, 1e-4, 3_000_000, math.inf, 1
         ),
         "stripes_first_round_budget": (
-            _stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), 1.0, 1e-3, 1000, math.inf
+            _stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), 1.0, 1e-3, 1000, math.inf, 1
         ),
         # h^2 underflows below 1.5e-162: cells die in the first and later rounds
-        "underflow": (_x_stripes, (0.0, 1.0, 16, 1e-165, 1e-130, 12), 2.0, 0.0, 3_000_000, math.inf),
+        "underflow": (
+            _x_stripes, (0.0, 1.0, 16, 1e-165, 1e-130, 12), 2.0, 0.0, 3_000_000, math.inf, 1
+        ),
         # the domain ends at x + h = 1: cells straddle it, children beyond it are not made
-        "band_edge": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), -0.5, 1e-7, 10**9, 1.0),
+        "band_edge": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), -0.5, 1e-7, 10**9, 1.0, 1),
+        # a half domain 2x + h < 1, capped at half the cells
+        "band_mirror": (_band, (0.0, 1.0, 64, 1e-3, 1.0, 24), -0.5, 1e-7, 10**9, 1.0, 2),
+        "stripes_capped_mirror": (
+            _stripes, (0.0, 1.0, 200, 1e-2, 1.0, 200), -0.5, 1e-9, 12_000_000, 1.0, 2
+        ),
     }
 
     @staticmethod
     def _run(case):
-        member, grid, gamma, target, budget, top = TestBlockedRefine.CASES[case]
+        member, grid, gamma, target, budget, top, slope = TestBlockedRefine.CASES[case]
         cells = _grid_cells(*grid)
         reached = set()
-        expected = _reference_refine(member, cells, gamma, target, budget, top, reached=reached)
+        expected = _reference_refine(
+            member, cells, gamma, target, budget, top, slope, reached=reached
+        )
         inside, _, _, unresolved, evals, rounds, exhausted = quadrature._refine(
-            member, (*cells, None), gamma, target, budget, top
+            member, (*cells, None), gamma, target, budget, top, slope
         )
         return (inside, unresolved, evals, rounds, exhausted), expected, reached
 
@@ -1026,7 +1118,7 @@ class TestBlockedRefine:
         got, expected, _ = self._run(case)
         assert got == expected
 
-    @pytest.mark.parametrize("case", ["band", "underflow", "band_edge"])
+    @pytest.mark.parametrize("case", ["band", "underflow", "band_edge", "band_mirror"])
     def test_block_size_does_not_matter(self, case, monkeypatch):
         expected = self._run(case)[1]
         monkeypatch.setattr(quadrature, "_BLOCK", 97)
@@ -1036,7 +1128,7 @@ class TestBlockedRefine:
         # stopped at 10^4 target and resumed from its frontier at target, the
         # band is refined as in one call at target: the same rounds (the stop
         # round is read twice), evaluations and masses, no pair sampled twice
-        member, grid, gamma, target, budget, top = self.CASES["band"]
+        member, grid, gamma, target, budget, top, _ = self.CASES["band"]
         cells = (*_grid_cells(*grid), None)
         in1, lost, frontier, un1, ev1, ro1, _ = quadrature._refine(
             member, cells, gamma, 1e4 * target, budget, top
@@ -1048,25 +1140,29 @@ class TestBlockedRefine:
         assert (ev1 + ev2, ro1 + ro2 - 1) == (straight[4], straight[5])
         assert (in1 + in2, lost + un2) == pytest.approx((straight[0], straight[3]), rel=1e-12)
 
-    @pytest.mark.parametrize("case", ["band", "band_edge", "band_gamma<0", "x_stripes_drop"])
+    @pytest.mark.parametrize(
+        "case", ["band", "band_edge", "band_gamma<0", "x_stripes_drop", "band_mirror"]
+    )
     def test_resumed_refinement_agrees_with_the_straight_one(self, case):
         # resumed from a frontier left at 10 target, with the cells parked
         # below 10 target / (2 MAX_CELLS); the mass dropped past a round's
         # cap stays unresolved
-        member, grid, gamma, target, budget, top = self.CASES[case]
+        member, grid, gamma, target, budget, top, slope = self.CASES[case]
         cells = (*_grid_cells(*grid), None)
         in1, lost, frontier, _, ev1, _, _ = quadrature._refine(
-            member, cells, gamma, 10 * target, budget, top
+            member, cells, gamma, 10 * target, budget, top, slope
         )
         in2, _, _, un2, _, _, _ = quadrature._refine(
-            member, frontier, gamma, target, budget - ev1, top
+            member, frontier, gamma, target, budget - ev1, top, slope
         )
-        in_s, _, _, un_s, _, _, _ = quadrature._refine(member, cells, gamma, target, budget, top)
+        in_s, _, _, un_s, _, _, _ = quadrature._refine(
+            member, cells, gamma, target, budget, top, slope
+        )
         un2 += lost
         assert abs(in1 + in2 + un2 / 2.0 - in_s - un_s / 2.0) <= (un2 + un_s) / 2.0
 
     def test_resume_at_the_stop_samples_nothing(self):
-        member, grid, gamma, target, budget, top = self.CASES["band"]
+        member, grid, gamma, target, budget, top, _ = self.CASES["band"]
         _, lost, frontier, unresolved, _, _, _ = quadrature._refine(
             member, (*_grid_cells(*grid), None), gamma, 1e4 * target, budget, top
         )

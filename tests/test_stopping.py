@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from slopelab.catalog import mollified_indicator
+from slopelab.catalog import make_standard, mollified_indicator
 from slopelab.stopping import stopping_intervals
 
 
@@ -77,6 +77,27 @@ class TestEdgeCases:
 
         with pytest.raises(ValueError, match=f"interval from {start} is longer than the double range"):
             stopping_intervals(f, (0.0, length), gamma, breakpoints=(0.0, length))
+
+
+class TestNearGammaMinusOne:
+    # at gamma = -1.001 the least interval length (1/2 / mass)^1000 underflows
+    # to 0 once the mass exceeds 1/2; the step cap used to divide by it
+    @pytest.mark.parametrize(
+        "fid,k",
+        [
+            ("interval_indicator(2.5)", 5),
+            ("ball_indicator(1)", 4),
+            ("mollified_indicator(3)", 8),
+            ("mollified_indicator(6)", 8),
+        ],
+    )
+    def test_mass_above_one_half(self, fid, k):
+        u = make_standard(fid)
+        lo, hi = u.support[0]
+        dec = stopping_intervals(u.eval, (lo, hi), -1.001, breakpoints=u.breakpoints)
+        assert dec.k == k
+        assert dec.endpoints[0] == lo and dec.endpoints[-1] >= hi
+        assert max(abs(r) for r in dec.residuals) <= 1e-15
 
 
 MOLLIFIED = mollified_indicator(3)

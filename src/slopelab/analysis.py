@@ -386,6 +386,10 @@ def bbm_functional(
     """
     if u.dim != 1:
         raise ValueError("the energy functional is computed for line functions here")
+    if not (p >= 1 and math.isfinite(p)):
+        raise ValueError(f"p must be finite with p >= 1, got {p}")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     for s in s_grid:
         if not 0.0 < s < 1.0:
             raise ValueError(f"s must lie in (0, 1), got {s}")

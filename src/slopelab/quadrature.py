@@ -23,22 +23,24 @@ split into two exhaustive families:
   support edge only where the profile declares a jump there; at a
   continuous edge it is sampled straight across, so the edge is not refined
   as if it were a level-set boundary.  Edge jumps, like interior ones, are
-  read from the declarations, never searched for.
+  read from the declarations, never searched for.  An interior query keeps
+  only this family, the pairs in [lo, hi]^2.
 * a profile that declares a mirror point c (f(2c - x) = +-f(x) + const)
   has interior member sets symmetric under (x, h) -> (2c - x - h, h), and
-  the weight depends on h alone.  Without a box, a region or interface
-  points, the cells cover only the half domain 2x + h < 2c: the mirror
-  line is a clipped edge of slope 2, whose straddling cells weigh their part
-  inside in the same closed form, and the half's masses count twice.
+  the weight depends on h alone.  Without a region or interface points,
+  the cells cover only the half domain 2x + h < 2c: the mirror line is a
+  clipped edge of slope 2, whose straddling cells weigh their part inside
+  in the same closed form, and the half's masses count twice.
 
 Near the diagonal, one rule, ``near_diagonal``, gives the cutoff below which
 membership is provably impossible or the bound on the mass below a cutoff,
 from the Lipschitz constant, the jump sizes and the sup norm.  The Monte
-Carlo backend uses the same rule.  The engine asks it three times: for the
-interior jumps, for the jumps at the support edges, and for declared
-interface points.  A divergent corner at a jump is its verdict outright.  At
-gamma = 0 below the declared Lipschitz constant, or with none, the slopes of
-f decide (``slope_verdict``): a ``max_slope`` above lambda proves the measure
+Carlo backend uses the same rule.  The engine asks it for the cells' pairs,
+from the interior jumps or from declared interface points, and, where the
+plateau pairs count, for the jumps at the support edges.  A divergent corner
+at a jump is its verdict outright.  At gamma = 0 below the declared
+Lipschitz constant, or with none, the slopes of f decide
+(``slope_verdict``): a ``max_slope`` above lambda proves the measure
 infinite, and a lambda in [max_slope, constant) raises ``UndecidedError``, a
 ValueError.  These are the verdicts ``analysis.estimate_lipschitz`` bisects on.
 """
@@ -195,7 +197,7 @@ def _cell_weight(gamma: float, x1, x2, h1, h2, top: float, slope: int = 1):
     beyond the edge nothing.  A cell that straddles it has the full width up
     to h = top - slope x2, and above that the width (top - slope x1 - h) / slope
     until h = top - slope x1: the integrand of the two-plateau ramp with span
-    top - slope x1, divided by the slope.  Slope 1 is a support or box edge,
+    top - slope x1, divided by the slope.  Slope 1 is the support edge,
     slope 2 a mirror line.  Rounding in the ramp's primitive is clipped, so
     that a weight is never negative and never exceeds the whole cell's.
     Cells have 0 < h1 <= h2 < inf, so they take the bare closed form: the
@@ -336,15 +338,15 @@ def near_diagonal(
     return NearCut("bounded", remainder=rem2, cut_for=cut_for2)
 
 
-def max_slope(profile: LineProfile, within=(-math.inf, math.inf)) -> float:
-    """The largest slope of f that the plateau grid shows on ``within``, less rounding.
+def max_slope(profile: LineProfile) -> float:
+    """The largest slope of f that the plateau grid shows, less rounding.
 
     Over neighbouring grid points a < b with no declared jump in [a, b]: the
     largest (|f(b) - f(a)| - 8 eps sup|f|) / (b - a), or 0.  f is absolutely
     continuous there, so |f'| exceeds any smaller lambda on a set of positive
     measure, and no declared Lipschitz constant may be below it.
     """
-    xs = np.unique(np.clip(_graded_grid(profile), *within))
+    xs = _graded_grid(profile)
     a, b = xs[:-1], xs[1:]
     free = np.ones(len(a), dtype=bool)
     for loc, _ in profile.jumps:
@@ -353,7 +355,7 @@ def max_slope(profile: LineProfile, within=(-math.inf, math.inf)) -> float:
     return float(np.max(rise[free] / (b - a)[free], initial=0.0))
 
 
-def slope_verdict(profile: LineProfile, beta: float, lam: float, within=(-math.inf, math.inf)):
+def slope_verdict(profile: LineProfile, beta: float, lam: float):
     """Decide a 'slope' cut: the ``max_slope`` above lambda that makes the measure infinite.
 
     Raises ValueError where that slope exceeds the declared Lipschitz
@@ -365,7 +367,7 @@ def slope_verdict(profile: LineProfile, beta: float, lam: float, within=(-math.i
         raise UndecidedError(
             f"undecided: lambda={lam!r} at b=-1 with an unknown Lipschitz constant"
         )
-    slope, L = max_slope(profile, within), profile.lipschitz
+    slope, L = max_slope(profile), profile.lipschitz
     if slope > L:
         raise ValueError(
             f"the sampled slope {slope!r} exceeds the declared Lipschitz constant {L!r}"
@@ -482,12 +484,13 @@ def _refine(member, cells, gamma, target, budget_left, top, slope=1):
     The pair domain ends at slope x + h = ``top`` (inf for none), and the
     edge enters through the weight, not the membership: a cell counts only
     its part inside (``_cell_weight``), and no child wholly beyond the edge
-    is made.  ``member`` masks the edge only where the profile jumps there;
-    at a continuous edge it samples straight across, so a cell that
-    straddles the edge is split only where a level set crosses it.  A
-    domain of slope 2 is half of one whose cells the counts above were set
-    for, so it takes half of each: of MAX_CELLS, of the explore rounds'
-    40,000 cells, and so of the light-cell threshold's cell count.
+    is made.  ``member`` masks the edge only where the profile jumps there
+    or a region restricts the pairs; at a continuous edge it samples
+    straight across, so a cell that straddles the edge is split only where
+    a level set crosses it.  A domain of slope 2 is half of one whose cells the counts
+    above were set for, so it takes half of each: of MAX_CELLS, of the
+    explore rounds' 40,000 cells, and so of the light-cell threshold's cell
+    count.
 
     Sampling runs in blocks of ``_BLOCK`` cells, so that the grids, the
     profile's temporaries and ``member``'s results stay in cache.  The
@@ -576,12 +579,8 @@ def _refine(member, cells, gamma, target, budget_left, top, slope=1):
         if not len(sel):
             break
         m = len(sel)
-        # which children are made: with no edge, all of them
-        made = (
-            None if top == math.inf
-            else _quarters_made(x1[sel], x2[sel], h1[sel], h2[sel], top, slope)
-        )
-        counts = [m] * 4 if made is None else np.count_nonzero(made, axis=1).tolist()
+        made = _quarters_made(x1[sel], x2[sel], h1[sel], h2[sel], top, slope)
+        counts = np.count_nonzero(made, axis=1).tolist()
         total = sum(counts)
         if evals + 9 * total > budget_left:
             return inside, dropped, frontier(sel), unresolved + float(w[sel].sum()), evals, rounds, True
@@ -606,13 +605,11 @@ def _refine(member, cells, gamma, target, budget_left, top, slope=1):
                 a, b = q % 2, q // 2
                 child = (xg[2 * a], xg[2 * a + 2], hg[2 * b], hg[2 * b + 2])
                 stencil = g[2 * a:2 * a + 3, 2 * b:2 * b + 3]
-                n_keep = len(bs)
-                if made is not None:
-                    idx = made[q, s].nonzero()[0]
-                    if len(idx) < n_keep:
-                        n_keep = len(idx)
-                        child = tuple(c[idx] for c in child)
-                        stencil = stencil.take(idx, axis=2)
+                idx = made[q, s].nonzero()[0]
+                n_keep = len(idx)
+                if n_keep < len(bs):
+                    child = tuple(c[idx] for c in child)
+                    stencil = stencil.take(idx, axis=2)
                 d = slice(at[q], at[q] + n_keep)
                 for dst, src in zip((cx1, cx2, ch1, ch2), child):
                     dst[d] = src
@@ -630,15 +627,17 @@ def _joined(parts):
 def _quarters_made(x1, x2, h1, h2, top, slope):
     """(4, n): which quarters of the cells are not wholly beyond slope x + h = top.
 
-    Quarter q takes the x-half q % 2 and the h-half q // 2.
+    Quarter q takes the x-half q % 2 and the h-half q // 2; with no edge
+    (top = inf) every quarter is made.
     """
     sx1, sxm = slope * x1, slope * (0.5 * (x1 + x2))
     hm = _geometric_mid(h1, h2)
     return np.stack([sx1 + h1 < top, sxm + h1 < top, sx1 + hm < top, sxm + hm < top])
 
 
-def _initial_cells(profile, x_lo, x_hi, h_lo, h_hi, top, slope):
-    """Fresh cells over [x_lo, x_hi] x [h_lo, h_hi], none wholly beyond slope x + h = top."""
+def _initial_cells(profile, h_lo, h_hi, top, slope):
+    """Fresh cells over [lo, hi] x [h_lo, h_hi], none wholly beyond slope x + h = top."""
+    x_lo, x_hi = profile.lo, profile.hi
     if x_lo >= x_hi or h_lo >= h_hi:
         return (np.empty(0),) * 4 + (None,)
     pts = profile.grid_points()
@@ -675,7 +674,7 @@ def measure_line(
     lam: float,
     *,
     h_window: Optional[tuple[float, float]] = None,
-    pair_box: Optional[tuple[float, float]] = None,
+    interior: bool = False,
     region: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     interface_points: Optional[int] = None,
     rel_tol: float = 5e-3,
@@ -683,11 +682,11 @@ def measure_line(
 ) -> EngineEstimate:
     """Weighted measure of {|f(x)-f(y)| > lam |x-y|^(1+b)} on the line.
 
-    ``h_window`` restricts to an annulus delta <= |x-y| <= R; ``pair_box``
-    restricts both coordinates to an interval (plateau interactions are then
-    out of scope and the cells cover the box); ``region`` is an extra
-    elementwise predicate on pairs, called with broadcastable x and y
-    arrays.  ``interface_points`` asserts that every member pair
+    ``h_window`` restricts to an annulus delta <= |x-y| <= R; ``interior``
+    keeps only the pairs in [lo, hi]^2, leaving out the plateau interactions;
+    ``region`` is an extra elementwise predicate on those interior pairs,
+    called with broadcastable x and y arrays, and so needs ``interior``.
+    ``interface_points`` asserts that every member pair
     at small separation straddles one of that many interface points,
     replacing the generic Lipschitz cutoff (used by the self-similar cross
     terms, whose Lipschitz constants are astronomically large).
@@ -720,31 +719,26 @@ def measure_line(
         if h_hi == h_lo:
             return EngineEstimate(0.0, 0.0, diagnostics={"empty_annulus": True})
 
-    boxed = pair_box is not None
-    box_lo, box_hi = pair_box if boxed else (-math.inf, math.inf)
+    if region is not None and not interior:
+        raise ValueError("region restricts the interior pairs only: it needs interior=True")
 
-    # The cells' pairs end at x + h = box_hi, or at hi, beyond which the
-    # plateau interactions take over in closed form.  An edge is masked only
-    # where the profile declares a jump there (a region predicate keeps the
-    # box edge masked too); at a continuous edge the cells are clipped to it
-    # instead.  Every cell has x >= box_lo.  A mirrored profile's interior
-    # pairs (x, x + h) and (2c - x - h, 2c - x) are members together, so
-    # without a box, a region or interface points the cells cover only
-    # 2x + h < 2c, clipped there, and count twice.
-    if boxed:
-        mask_lo, edge = False, box_hi
-        mask_top = region is not None or any(loc == box_hi for loc, _ in profile.jumps)
-    else:
-        edge_jumps = [j for j in profile.jumps if j[0] in (lo, hi)]
-        jumps_at = {loc for loc, _ in edge_jumps}
-        mask_lo, mask_top, edge = lo in jumps_at, hi in jumps_at, hi
-    mirrored = (
-        profile.mirror is not None and not boxed and region is None and interface_points is None
-    )
+    # The cells' pairs end at x + h = hi, beyond which the plateau
+    # interactions take over in closed form, or, for an interior query,
+    # nothing counts.  An edge is masked only where the profile declares a
+    # jump there (a region predicate keeps the top edge masked too); at a
+    # continuous edge the cells are clipped to it instead.  A mirrored
+    # profile's interior pairs (x, x + h) and (2c - x - h, 2c - x) are members
+    # together, and [lo, hi]^2 is symmetric about c, so without a region or
+    # interface points the cells cover only 2x + h < 2c, clipped there, and
+    # count twice.
+    edge_jumps = [j for j in profile.jumps if j[0] in (lo, hi)]
+    jumps_at = {loc for loc, _ in edge_jumps}
+    mask_lo, mask_top = lo in jumps_at, hi in jumps_at or region is not None
+    mirrored = profile.mirror is not None and region is None and interface_points is None
     if mirrored:
         slope, top = 2, 2.0 * profile.mirror
     else:
-        slope, top = 1, math.inf if mask_top else edge
+        slope, top = 1, math.inf if mask_top else hi
 
     def f(a):
         # a profile callable is only asked for 1-D arrays
@@ -760,7 +754,7 @@ def measure_line(
         if mask_lo:
             ok &= x > lo
         if mask_top:
-            ok &= (y <= box_hi) if boxed else (y < hi)
+            ok &= y < hi
         if region is not None:
             ok &= region(x, y)
         return ok
@@ -776,27 +770,22 @@ def measure_line(
         # no Lipschitz part: interfaces across which u moves by at most 2 sup
         cut = rule(0.0, 2.0 * profile.sup, interface_points)
     else:
-        cell_jumps = profile.jumps if boxed else [j for j in profile.jumps if lo < j[0] < hi]
+        cell_jumps = [j for j in profile.jumps if lo < j[0] < hi]
         cut = rule(profile.lipschitz, *jump_structure(cell_jumps))
-    cuts = [cut] if boxed else [cut, rule(profile.lipschitz, *jump_structure(edge_jumps))]
+    cuts = [cut] if interior else [cut, rule(profile.lipschitz, *jump_structure(edge_jumps))]
     for c in cuts:
         if c.kind == "divergent" and h_lo == 0.0:
             return EngineEstimate(math.inf, math.inf, diagnostics={"reason": c.reason})
     if cut.kind == "slope" and h_lo == 0.0:
-        slope = slope_verdict(profile, beta, lam, (box_lo, box_hi))
+        slope = slope_verdict(profile, beta, lam)
         diag = {"reason": cut.reason, "max_slope": slope}
         return EngineEstimate(math.inf, math.inf, diagnostics=diag)
 
-    if boxed:
-        h_hi = cells_hi = min(h_hi, box_hi - box_lo)
-        x_lo, x_hi = max(lo - h_hi, box_lo), min(hi, box_hi)
-    else:
-        cells_hi = min(h_hi, profile.span)
-        x_lo, x_hi = lo, hi
+    cells_hi = min(h_hi, profile.span)
 
     # --- plateau interactions (closed form in h) ---------------------------
     tail_v = tail_e = 0.0
-    if not boxed:
+    if not interior:
         try:
             tail_v, tail_e, parts = _plateau_interactions(profile, gamma, beta, lam, h_lo, h_hi)
             diag["tail_parts"] = parts
@@ -805,10 +794,16 @@ def measure_line(
 
     # --- near cutoff and interior cells: one refinement ---------------------
     lowering = cut.kind == "bounded" and h_lo == 0.0  # the near cut follows the value
+
+    def lowered(target):
+        # the bounded cut for a remainder target, no farther out than the
+        # cells' largest separation: its rule assumes a small h
+        return min(cut.cut_for(target), cells_hi)
+
     if cut.kind == "zero":
         cell_lo = max(h_lo, cut.h_cut)  # no closer pair is a member, also inside an annulus
     else:
-        cell_lo = cut.cut_for(max(rel_tol * max(tail_v, 1.0), 1e-12)) if lowering else h_lo
+        cell_lo = lowered(max(rel_tol * max(tail_v, 1.0), 1e-12)) if lowering else h_lo
 
     def near(h):
         # the cut clamped to the floor, and the remainder of the pairs below it
@@ -832,13 +827,13 @@ def measure_line(
         return left, slope * mass
 
     def fresh(h1, h2):
-        return _initial_cells(profile, x_lo, x_hi, h1, h2, top, slope)
+        return _initial_cells(profile, h1, h2, top, slope)
 
     cell_lo, rem = near(cell_lo)
     frontier, unresolved = refine(fresh(cell_lo, cells_hi))
     while not exhausted:
         tight = rel_tol * (inside + 0.5 * unresolved + tail_v) / 2.0
-        new_lo, new_rem = near(cut.cut_for(max(tight / 2.0, 1e-300))) if lowering else (cell_lo, rem)
+        new_lo, new_rem = near(lowered(max(tight / 2.0, 1e-300))) if lowering else (cell_lo, rem)
         if new_lo < cell_lo:
             strip, mass = refine(fresh(new_lo, cell_lo))
             frontier = frontier if exhausted else _joined([frontier, strip])

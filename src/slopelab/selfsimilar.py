@@ -11,7 +11,8 @@ A(m) = A(0) + sum_{j<=m} X(j) with X(j) converging geometrically; deep
 generations compute the first cross terms and extend the stabilized tail,
 with the stabilization defect carried into the error bound.  Double
 precision alone could never resolve those generations (the direct engine
-sees at most ~25).
+sees at most ~25).  The unit box is the staircase's support, so every
+measure here is an interior ``measure_line`` query.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def box_measure(
     """A(m, lam): measure of the staircase superlevel set inside [0,1]^2."""
     spec = CantorSpec(gamma=gamma, m=m)
     prof = staircase_function(spec).line_profile()
-    return measure_line(prof, gamma, gamma / p, lam, pair_box=(0.0, 1.0), rel_tol=rel_tol)
+    return measure_line(prof, gamma, gamma / p, lam, interior=True, rel_tol=rel_tol)
 
 
 def cross_term(
@@ -69,7 +70,7 @@ def cross_term(
         gamma,
         gamma / p,
         lam,
-        pair_box=(0.0, 1.0),
+        interior=True,
         region=region,
         interface_points=2,
         rel_tol=rel_tol,

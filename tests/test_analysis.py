@@ -231,7 +231,7 @@ class TestGrowthFamilies:
         spec = CantorSpec(gamma=-0.5, m=1)
         a, c = spec.rho**2, 1.0 - spec.rho**2
         engine = measure_line(
-            staircase_function(spec).line_profile(), -0.5, -0.5, 0.25, pair_box=(0.0, 1.0),
+            staircase_function(spec).line_profile(), -0.5, -0.5, 0.25, interior=True,
             region=lambda x, y: (x <= a) & (y >= c), h_window=((c - a) * (1.0 - 1e-12), 1.0),
         ).value / 2.0
         closed = corner_rectangle_weight(-0.5, 0.25)
@@ -314,6 +314,15 @@ class TestEnergyCurve:
     def test_s_domain_validated(self):
         with pytest.raises(ValueError):
             bbm_functional(make_standard("tent"), 1.0, 2.0, [0.2, 1.5])
+
+    @pytest.mark.parametrize(
+        "p, radius, field",
+        [(0.5, 2.0, "p"), (math.inf, 2.0, "p"), (math.nan, 2.0, "p"),
+         (1.0, 0.0, "radius"), (1.0, math.inf, "radius"), (1.0, math.nan, "radius")],
+    )
+    def test_p_and_radius_validated(self, p, radius, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            bbm_functional(make_standard("tent"), p, radius, [0.2, 0.1])
 
 
 class TestRegimeGate:

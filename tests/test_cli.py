@@ -187,6 +187,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags,field",
         [
+            (["--p", "0.5"], "p"),
+            (["--radius", "nan"], "radius"),
+            (["--radius", "inf"], "radius"),
+        ],
+    )
+    def test_unusable_energy_input_is_config_error(self, tmp_path, capsys, flags, field):
+        # p < 1 used to print values, a non-finite radius to fail inside numpy
+        code, out, _ = run(tmp_path, "bbm", ["bbm", "--fn", "tent", *flags])
+        assert code == EXIT_BAD_CONFIG
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
             (["--tol", "0"], "rel_tol"),
             (["--tol", "-1"], "rel_tol"),
             (["--tol", "nan"], "rel_tol"),

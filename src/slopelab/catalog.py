@@ -10,6 +10,7 @@ checked against finite differences without interpolation error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -126,11 +127,9 @@ class TestFunction:
     refines half of the interior pairs.  Two facts are derived, not stored:
     ``grad_l1`` is ``grad_bv`` where a gradient exists and absent otherwise
     (the two coincide on W^{1,1}), and ``compact_support`` holds when both
-    plateaus are 0.  The smooth radial entries (``smooth_bump``,
-    ``mollified_indicator``) are built by one constructor, ``_radial``, from
-    their profile and its radial derivative; the line transforms
-    (``dilate``, ``shift``, ``reflect``, ``scale_values``, ``negate``) are
-    one affine map, ``_affine``.
+    plateaus are 0.  Every radial entry, in every dim, comes from one
+    constructor, ``_radial``; the line transforms (``dilate``, ``shift``,
+    ``reflect``, ``scale_values``, ``negate``) are one affine map, ``_affine``.
     """
 
     id: str
@@ -147,10 +146,11 @@ class TestFunction:
     jumps: tuple[tuple[float, float], ...] = ()
     breakpoints: tuple[float, ...] = ()
     mirror: Optional[float] = None
-    # slicer(theta, offset): the line profile of the 2D slice at that offset,
-    # or None off the support.  Every entry is radial, so theta is unused;
-    # rotation2d passes 0.  A radial slice is even along its chord, so its
-    # mirror is 0.
+    # slicer(theta, offset): the line profile of a radial entry of dim >= 2 on
+    # its chord at that offset from the centre, or None off the support.  A
+    # chord depends on neither the direction nor the dim: theta is unused
+    # (rotation2d passes 0), and Monte Carlo reads its gamma = 0 slope verdict
+    # from slicer(0, 0) in every dim.  A chord is even, so its mirror is 0.
     slicer: Optional[Callable[[float, float], Optional[LineProfile]]] = None
     meta: tuple = ()
 
@@ -236,30 +236,40 @@ def _make_linear_ramp(c: float) -> TestFunction:
     return _affine(_make_tent(), a=c, id=f"linear_ramp({c:g})")
 
 
-def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> TestFunction:
-    """The smooth radial entry u(x) = profile(|x|^2) on R^dim.
+def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0, jump=0.0) -> TestFunction:
+    """The radial entry u(x) = profile(|x|^2) on R^dim, for every dim >= 1.
 
     u is nonincreasing in |x|, equal to ``sup`` on |x| <= flat_to and 0 from
-    ``radius`` on; the profile itself gives that 0, at every squared radius.
-    ``deriv(r)`` is du/d|x| inside the ball.  The profile takes the squared
-    radius, so an entry that needs no square root takes none.  From these
-    come the gradient deriv(|x|) x/|x|, the line breakpoints, the chord
-    slices of the plane and the gradient norms, radial integrals with weight
-    r^(dim-1) over the collar [flat_to, radius].
+    ``radius`` on; the profile itself gives that 0, at every squared radius,
+    the sum of squares over every coordinate (so an entry that needs no
+    square root takes none).  ``deriv(r)`` is du/d|x| inside the ball.  From
+    these come the gradient deriv(|x|) x/|x|, the chord slices, the line
+    entry (the chord through the centre) and the gradient norms, radial
+    integrals with weight r^(dim-1) over the collar [flat_to, radius].  A
+    step (flat_to = radius) drops by ``jump`` = sup at its radius: it has no
+    gradient, its variation adds jump times the area of that sphere, and the
+    line entry and every slice declare the jump at the ends of their chord.
     """
-    dim = int(dim)
+    dim = _positive_dim(dim)
     area = sphere_area(dim)
+    centre = () if jump else (0.0,)  # the peak of every chord; a step is flat across it
+
+    def chord(o2, w):
+        """The profile along the chord of half-length w at squared offset o2."""
+        if jump:  # |t| <= w: o2 + t^2 <= radius^2 would round across the jump
+            return lambda t: sup * (np.abs(t) <= w)
+        return lambda t: profile(o2 + np.square(t, dtype=float))
 
     def points(x):
-        """(points, squared norms): a line takes any shape, the plane rows of (x, y)."""
+        """(rows of coordinates, their squared norms); a line takes any shape."""
         x = np.asarray(x, dtype=float)
         if dim == 1:
             return x, x * x
         x = np.atleast_2d(x)
-        return x, x[:, 0] ** 2 + x[:, 1] ** 2
-
-    def ev(x):
-        return profile(points(x)[1])
+        r2 = x[:, 0] ** 2  # column by column: a reduction along rows of a few columns is far slower
+        for k in range(1, dim):
+            r2 += x[:, k] ** 2
+        return x, r2
 
     def gr(x):
         x, r2 = points(x)
@@ -268,44 +278,41 @@ def _radial(ident, dim, profile, deriv, radius, *, sup, lip, flat_to=0.0) -> Tes
         out[np.isnan(r)] = np.nan
         inside = (r > 0.0) & (r < radius)
         ri = r[inside]
-        # transposed, the points come last: one broadcast serves the line and the plane
+        # transposed, the points come last: one broadcast serves every dim
         out[inside] = (deriv(ri) * (x[inside].T / ri)).T
         return out
 
-    def grad_lp(p):
-        val = gauss_legendre(lambda r: np.abs(deriv(r)) ** p * r ** (dim - 1), flat_to, radius)
-        return float((area * val) ** (1.0 / p))
+    def collar(p):
+        return gauss_legendre(lambda r: np.abs(deriv(r)) ** p * r ** (dim - 1), flat_to, radius)
 
     def slicer(theta, offset):
         if abs(offset) >= radius:
             return None
         o2 = offset * offset
         w = math.sqrt(radius * radius - o2)
-
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            return profile(o2 + t * t)
-
+        f = chord(o2, w)
         return LineProfile(
-            f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=lip,
-            sup=float(f(0.0)), breakpoints=(-w, 0.0, w), mirror=0.0,
+            f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=lip, sup=float(f(0.0)),
+            jumps=((-w, jump), (w, jump)) if jump else (), breakpoints=(-w, *centre, w), mirror=0.0,
         )
 
-    # 0.0 - flat_to is +0.0 when there is no plateau
-    line_breakpoints = tuple(sorted({-radius, 0.0 - flat_to, 0.0, flat_to, radius}))
+    line = dim == 1
     return TestFunction(
         id=ident,
         dim=dim,
-        eval=ev,
-        grad=gr,
+        eval=chord(0.0, radius) if line else (lambda x: profile(points(x)[1])),
+        grad=None if jump else gr,
         support=((-radius, radius),) * dim,
         sup_norm=sup,
-        grad_bv=2.0 * sup if dim == 1 else grad_lp(1.0),  # a monotone line profile: TV = 2 sup
-        grad_lp=grad_lp,
+        # a monotone line profile: TV = 2 sup
+        grad_bv=2.0 * sup if line else float(area * (collar(1.0) + jump * radius ** (dim - 1))),
+        grad_lp=None if jump else (lambda p: float((area * collar(p)) ** (1.0 / p))),
         lip=lip,
-        breakpoints=line_breakpoints if dim == 1 else (),
-        mirror=0.0 if dim == 1 else None,
-        slicer=slicer if dim == 2 else None,
+        jumps=((-radius, jump), (radius, jump)) if line and jump else (),
+        # 0.0 - flat_to is +0.0 when there is no plateau
+        breakpoints=tuple(sorted({-radius, 0.0 - flat_to, *centre, flat_to, radius})) if line else (),
+        mirror=0.0 if line else None,
+        slicer=None if line else slicer,
     )
 
 
@@ -387,38 +394,10 @@ def _make_interval_indicator(length: float) -> TestFunction:
 def _make_ball_indicator(radius: float, dim: int) -> TestFunction:
     if not 0 < radius < math.inf:
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
-    ident = f"ball_indicator({radius:g})"
-    if dim == 1:
-        return _affine(_make_interval_indicator(2 * radius), c=-radius, id=ident)
-
-    def ev(xy):
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        return (xy[:, 0] ** 2 + xy[:, 1] ** 2 <= radius * radius).astype(float)
-
-    def slicer(theta, offset):
-        if abs(offset) >= radius:
-            return None
-        w = math.sqrt(radius * radius - offset * offset)
-
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            return (np.abs(t) <= w).astype(float)
-
-        return LineProfile(
-            f=f, lo=-w, hi=w, left=0.0, right=0.0, lipschitz=0.0, sup=1.0,
-            jumps=((-w, 1.0), (w, 1.0)), breakpoints=(-w, w), mirror=0.0,
-        )
-
-    return TestFunction(
-        id=ident,
-        dim=2,
-        eval=ev,
-        grad=None,
-        support=((-radius, radius), (-radius, radius)),
-        sup_norm=1.0,
-        grad_bv=2.0 * math.pi * radius,
-        lip=0.0,
-        slicer=slicer,
+    rr = radius * radius
+    return _radial(
+        f"ball_indicator({radius:g})", dim, lambda r2: (r2 <= rr).astype(float), np.zeros_like, radius,
+        sup=1.0, lip=0.0, flat_to=radius, jump=1.0,
     )
 
 
@@ -523,16 +502,25 @@ def reflect(tf: TestFunction) -> TestFunction:
 # Registry
 # ---------------------------------------------------------------------------
 
-# name -> (builder(argument, dim), the argument of a bare name, the dims it takes)
+# name -> (builder(argument, dim), the argument of a bare name, radial): a
+# line entry takes dim 1 only, a radial one, built by _radial, any positive
+# integer dim
 REGISTRY = {
-    "tent": (lambda _, dim: _make_tent(), None, (1,)),
-    "smooth_bump": (lambda _, dim: _make_smooth_bump(dim), None, (1, 2)),
-    "halfline_step": (lambda _, dim: _make_halfline_step(), None, (1,)),
-    "interval_indicator": (lambda length, dim: _make_interval_indicator(length), 1.0, (1,)),
-    "linear_ramp": (lambda c, dim: _make_linear_ramp(c), 1.0, (1,)),
-    "ball_indicator": (_make_ball_indicator, 1.0, (1, 2)),
-    "mollified_indicator": (mollified_indicator, 3, (1, 2)),
+    "tent": (lambda _, dim: _make_tent(), None, False),
+    "smooth_bump": (lambda _, dim: _make_smooth_bump(dim), None, True),
+    "halfline_step": (lambda _, dim: _make_halfline_step(), None, False),
+    "interval_indicator": (lambda length, dim: _make_interval_indicator(length), 1.0, False),
+    "linear_ramp": (lambda c, dim: _make_linear_ramp(c), 1.0, False),
+    "ball_indicator": (_make_ball_indicator, 1.0, True),
+    "mollified_indicator": (mollified_indicator, 3, True),
 }
+
+
+def _positive_dim(dim) -> int:
+    # bool is an int to Python: True would pass as dim 1
+    if isinstance(dim, bool) or not (isinstance(dim, numbers.Real) and dim >= 1 and float(dim).is_integer()):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    return int(dim)
 
 
 def _parse_id(ident: str) -> tuple[str, Optional[float]]:
@@ -549,14 +537,17 @@ def make_standard(ident: str, dim: int = 1) -> TestFunction:
     """Build a catalog entry from its string id, ``name`` or ``name(value)``.
 
     A bare name takes the default of ``REGISTRY``: interval_indicator(1),
-    linear_ramp(1), ball_indicator(1), mollified_indicator(3).
+    linear_ramp(1), ball_indicator(1), mollified_indicator(3).  A line entry
+    takes dim 1 only; the radial ones (smooth_bump, ball_indicator,
+    mollified_indicator) any positive integer dim.
     """
     name, arg = _parse_id(ident)
     if name not in REGISTRY:
         raise KeyError(f"unknown catalog id {ident!r}; known: {', '.join(REGISTRY)}")
-    build, default, dims = REGISTRY[name]
-    if dim not in dims:
-        raise ValueError(f"{name} supports dim {' or '.join(map(str, dims))}, got {dim}")
+    build, default, radial = REGISTRY[name]
+    dim = _positive_dim(dim)
+    if dim != 1 and not radial:
+        raise ValueError(f"{name} is a line entry: it takes dim 1, got {dim}")
     return build(default if arg is None else arg, dim)
 
 

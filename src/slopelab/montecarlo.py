@@ -15,7 +15,7 @@ area, goes half into the value and half into the error bound; with no value
 estimate, the remainder is aimed at ``rel_tol / 4``, where the line engine's
 refinement leaves it for a value of order one.  A 'slope' cut (gamma = 0
 below the Lipschitz constant) takes the line engine's ``slope_verdict`` on the
-line profile, or on the central slice of a planar (radial) entry.  The error
+line profile, or on the central chord of a radial entry in any dim.  The error
 bound is three standard errors plus that half of the remainder.
 """
 

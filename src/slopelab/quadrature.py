@@ -158,7 +158,12 @@ def member_window(v, lam: float, beta: float):
     if beta == 0.0:
         return lo, np.where(v > lam, hi, lo)[()]
     with np.errstate(over="ignore", divide="ignore"):
-        edge = (v / lam) ** (1.0 / beta)
+        ratio = v / lam
+        edge = ratio ** (1.0 / beta)
+        # below lam ~ 1e-308, v / lam overflows where the edge itself is finite
+        over = np.isinf(ratio)
+        if np.any(over):
+            edge = np.where(over, np.exp((np.log(v) - math.log(lam)) / beta), edge)[()]
     return (lo, edge) if beta > 0.0 else (edge, hi)
 
 

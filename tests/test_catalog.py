@@ -202,21 +202,24 @@ class TestSmoothBump:
 
 
 class TestRadialPlane:
-    """The plane branch of the smooth radial entries against Cartesian oracles."""
+    """The smooth radial entries in dims 2 and 3 against Cartesian oracles."""
 
     ENTRIES = ["smooth_bump", "mollified_indicator(3)"]
 
     @pytest.mark.parametrize("fid", ENTRIES)
     def test_gradient_matches_finite_differences(self, fid):
-        u = get(fid, dim=2)
-        radius = u.support[0][1]
-        xy = radius * RNG.uniform(-1.1, 1.1, size=(400, 2))
-        h = 1e-6
-        fd = np.stack(
-            [(u.eval(xy + h * e) - u.eval(xy - h * e)) / (2.0 * h) for e in np.eye(2)], axis=1
-        )
-        assert np.max(np.abs(u.grad(xy) - fd)) < 1e-6 * u.lip
-        assert u.grad(np.array([[0.0, 0.0], [radius, 0.0], [0.0, -2.0]])).tolist() == [[0.0, 0.0]] * 3
+        for dim in (2, 3):
+            u = get(fid, dim=dim)
+            radius = u.support[0][1]
+            x = radius * RNG.uniform(-1.1, 1.1, size=(400, dim))
+            h = 1e-6
+            fd = np.stack(
+                [(u.eval(x + h * e) - u.eval(x - h * e)) / (2.0 * h) for e in np.eye(dim)], axis=1
+            )
+            assert np.max(np.abs(u.grad(x) - fd)) < 1e-6 * u.lip
+            flat = np.zeros((3, dim))
+            flat[1, 0], flat[2, dim - 1] = radius, -2.0
+            assert u.grad(flat).tolist() == [[0.0] * dim] * 3
 
     @pytest.mark.parametrize("fid", ENTRIES)
     def test_gradient_norms_against_cartesian_quadrature(self, fid):
@@ -234,17 +237,21 @@ class TestRadialPlane:
 
     @pytest.mark.parametrize("fid", ENTRIES)
     def test_slice_is_the_function_on_its_chord(self, fid):
-        u = get(fid, dim=2)
-        radius = u.support[0][1]
-        for s in (0.0, 0.3, -0.55, 0.9, 0.999):
-            prof = u.slicer(0.0, s)
-            ts = np.linspace(prof.lo, prof.hi, 101)
-            on_chord = u.eval(np.stack([np.full_like(ts, s), ts], axis=1))
-            assert np.array_equal(prof.f(ts), on_chord)
-            assert prof.sup == prof.f(np.array([0.0]))[0] == u.eval(np.array([[s, 0.0]]))[0]
-            assert prof.lipschitz == u.lip
-        assert u.slicer(0.0, radius) is None
-        assert u.slicer(0.0, -1.5 * radius) is None
+        # the chord at offset s from the centre, in the plane of the first two axes
+        for dim in (2, 3):
+            u = get(fid, dim=dim)
+            radius = u.support[0][1]
+            pad = [np.zeros(101)] * (dim - 2)
+            for s in (0.0, 0.3, -0.55, 0.9, 0.999):
+                prof = u.slicer(0.0, s)
+                ts = np.linspace(prof.lo, prof.hi, 101)
+                on_chord = u.eval(np.stack([np.full_like(ts, s), ts, *pad], axis=1))
+                assert np.array_equal(prof.f(ts), on_chord)
+                peak = u.eval(np.array([[s] + [0.0] * (dim - 1)]))[0]
+                assert prof.sup == prof.f(np.array([0.0]))[0] == peak
+                assert prof.lipschitz == u.lip
+            assert u.slicer(0.0, radius) is None
+            assert u.slicer(0.0, -1.5 * radius) is None
 
     def test_slice_sup_is_its_peak_at_the_rotation_offsets(self):
         # the sup is the chord's own value at t = 0; math.exp read 1 ulp above
@@ -255,10 +262,68 @@ class TestRadialPlane:
             if prof is not None:
                 assert prof.sup == np.max(prof.f(np.linspace(prof.lo, prof.hi, 2001)))
 
-    @pytest.mark.parametrize("fid", ENTRIES + ["ball_indicator(1)"])
-    def test_three_dimensions_are_rejected(self, fid):
-        with pytest.raises(ValueError, match="supports dim 1 or 2, got 3"):
-            get(fid, dim=3)
+
+EPS = np.finfo(float).eps
+RADIAL = tuple(name for name, (_, _, radial) in REGISTRY.items() if radial)
+
+
+class TestDimensions:
+    """A line entry takes dim 1; a radial one any positive integer dim, in which
+    it reads every coordinate."""
+
+    def test_the_registry_says_which_names_are_radial(self):
+        assert RADIAL == ("smooth_bump", "ball_indicator", "mollified_indicator")
+        for name, (_, _, radial) in REGISTRY.items():
+            assert make_standard(name).dim == 1
+            for dim in (2, 3, 4):
+                if radial:
+                    assert make_standard(name, dim=dim).dim == dim
+                else:
+                    with pytest.raises(ValueError, match=f"{name} is a line entry: it takes dim 1"):
+                        make_standard(name, dim=dim)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, math.nan, math.inf, True, "2"])
+    def test_bad_dims_raise(self, dim):
+        # True used to build a 1-D entry
+        for name in REGISTRY:
+            with pytest.raises(ValueError, match="dim must be a positive integer"):
+                make_standard(name, dim=dim)
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            mollified_indicator(3, dim=dim)
+
+    @given(
+        fid=st.sampled_from(RADIAL),
+        dim=st.sampled_from((2, 3, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rotation_invariance(self, fid, dim, seed):
+        # u(Qx) = u(x) under a random orthogonal Q, up to the rounding of |x|^2
+        u = make_standard(fid, dim=dim)
+        radius = u.support[0][1]
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        x = radius * rng.uniform(-1.2, 1.2, size=(64, dim))
+        qx = x @ q.T
+        r = np.linalg.norm(x, axis=1)
+        # |Qx| and |x| differ by a few ulps of |x|; a step may flip within them of its radius
+        slack = 8.0 * dim * EPS * r
+        keep = np.abs(r - radius) > slack if u.grad is None else np.ones_like(r, dtype=bool)
+        tol = 8.0 * EPS * u.sup_norm + u.lip * slack[keep]
+        assert np.all(np.abs(u.eval(qx[keep]) - u.eval(x[keep])) <= tol)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("fid", RADIAL)
+    def test_zero_off_the_first_two_axes_beyond_the_radius(self, fid, dim):
+        # the evaluator once read only the first two coordinates: it gave
+        # mollified_indicator(3) in dim 3 its centre value 2 at (0, 0, 100)
+        u = make_standard(fid, dim=dim)
+        radius = u.support[0][1]
+        x = np.zeros((3 * (dim - 2), dim))
+        for k in range(2, dim):
+            x[3 * (k - 2):3 * (k - 1), k] = radius * np.array([1.01, -1.5, 100.0 / radius])
+        assert u.eval(x).tolist() == [0.0] * len(x)
+        assert mollified_indicator(3, dim=3)(np.array([[0.0, 0.0, 100.0]])).tolist() == [0.0]
 
 
 class TestGradientNormsAgainstMpmath:
@@ -278,10 +343,10 @@ class TestGradientNormsAgainstMpmath:
 
     @staticmethod
     def norm(integral, dim, p):
-        area = 2 if dim == 1 else 2 * mpmath.pi
+        area = 2 if dim == 1 else 2 * mpmath.pi ** (mpmath.mpf(dim) / 2) / mpmath.gamma(mpmath.mpf(dim) / 2)
         return float((area * integral) ** (1 / mpmath.mpf(p)))
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_smooth_bump(self, dim):
         u = make_standard("smooth_bump", dim=dim)
         with mpmath.workdps(30):
@@ -293,7 +358,7 @@ class TestGradientNormsAgainstMpmath:
                 )
                 assert u.grad_lp(p) == pytest.approx(self.norm(integral, dim, p), rel=self.RTOL)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 3, 8])
     def test_mollified_indicator(self, m, dim):
         # u = 2 smoothstep((outer - r) / width) on the collar; s = (outer - r) / width
@@ -344,12 +409,30 @@ class TestIndicatorsAndRamps:
         assert ball.eval(np.array([0.0]))[0] == 1.0
         assert ball.eval(np.array([2.5]))[0] == 0.0
         assert ball.grad_bv == 2.0
+        # it drops exactly at its declared jumps; 2 + ulp read 1 through (x + 2) <= 4
+        assert ball.jumps == ((-2.0, 1.0), (2.0, 1.0))
+        ends = np.array([-2.0, 2.0])
+        assert ball.eval(ends).tolist() == [1.0, 1.0]
+        assert ball.eval(np.nextafter(ends, 2.0 * ends)).tolist() == [0.0, 0.0]
 
     def test_ball_indicator_2d(self):
         ball = get("ball_indicator(1)", dim=2)
         pts = np.array([[0.0, 0.0], [0.9, 0.0], [0.8, 0.8]])
         assert ball.eval(pts).tolist() == [1.0, 1.0, 0.0]
         assert ball.grad_bv == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    def test_ball_indicator_3d(self):
+        # its variation is the area of its boundary sphere, 4 pi R^2
+        ball = get("ball_indicator(2)", dim=3)
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [1.2, 1.2, 1.2], [0.0, 0.0, -2.5]])
+        assert ball.eval(pts).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert ball.grad_bv == pytest.approx(16.0 * math.pi, rel=1e-12)
+        assert ball.grad is ball.grad_lp is ball.grad_l1 is None
+        # a slice does not depend on the dim
+        chord, planar = ball.slicer(0.0, 1.0), get("ball_indicator(2)", dim=2).slicer(0.0, 1.0)
+        assert replace(chord, f=None) == replace(planar, f=None)
+        ts = np.linspace(-2.0, 2.0, 41)
+        assert np.array_equal(chord.f(ts), planar.f(ts))
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -661,7 +744,6 @@ class TestAffineComposition:
 # refine half of the interior pairs
 # ---------------------------------------------------------------------------
 
-EPS = np.finfo(float).eps
 MIRRORED_IDS = tuple(fid for fid in LINE_IDS if make_standard(fid).mirror is not None)
 TRANSFORMS = st.one_of(
     st.tuples(st.just("dilate"), st.floats(0.05, 20.0)),
@@ -687,7 +769,7 @@ def mirror_defect(f, c, x, y):
 
 class TestDeclaredMirrors:
     def test_every_registry_line_entry_but_the_step_declares_one(self):
-        names = {name for name, (_, _, dims) in REGISTRY.items() if 1 in dims}
+        names = set(REGISTRY)  # every name builds a line entry at dim 1
         assert names == {fid.split("(")[0] for fid in LINE_IDS}
         assert {fid.split("(")[0] for fid in MIRRORED_IDS} == names - {"halfline_step"}
 

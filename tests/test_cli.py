@@ -232,6 +232,28 @@ class TestExitCodes:
         assert code == EXIT_BAD_CONFIG
         assert "must be finite and positive" in capsys.readouterr().err
 
+    def test_radial_entry_in_three_dimensions(self, tmp_path):
+        # nu_measure sends N = 3 to Monte Carlo
+        argv = ["measure", "--fn", "smooth_bump", "--dim", "3", "--gamma", "1", "--lambda", "64"]
+        code, out, _ = run(tmp_path, "radial3", argv)
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        assert rows[0][3] == "montecarlo" and 0.0 < float(rows[0][1]) < math.inf
+
+    @pytest.mark.parametrize(
+        "fid,dim,message",
+        [
+            ("tent", "3", "tent is a line entry: it takes dim 1, got 3"),
+            ("smooth_bump", "0", "dim must be a positive integer, got 0"),
+        ],
+    )
+    def test_dim_a_catalog_name_does_not_take_is_config_error(self, tmp_path, capsys, fid, dim, message):
+        argv = ["measure", "--fn", fid, "--dim", dim, "--gamma", "1", "--lambda", "64"]
+        code, out, _ = run(tmp_path, "dim", argv)
+        assert code == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fid", ["interval_indicator(1)", "halfline_step"])
     def test_lipschitz_of_a_function_with_jumps_is_config_error(self, tmp_path, capsys, fid):
         code, _, _ = run(tmp_path, "lip", ["lipschitz", "--fn", fid])

@@ -1,10 +1,10 @@
 """slopelab runs without scipy.
 
-The line engine, the staircases, the planar entries, both planar engines,
-the gradient norms and the stopping decomposition (both on a numpy
-Gauss-Legendre rule) and kappa (math.lgamma) load none of it.  Each check
-runs in a fresh interpreter, so that nothing the test process has loaded
-counts.
+The line engine, the staircases, the radial entries in dims 2 and 3, both
+planar engines, Monte Carlo in dim 3, the gradient norms and the stopping
+decomposition (both on a numpy Gauss-Legendre rule) and kappa (math.lgamma)
+load none of it.  Each check runs in a fresh interpreter, so that nothing
+the test process has loaded counts.
 """
 
 import json
@@ -84,6 +84,13 @@ for method in ("rotation2d", "montecarlo"):
     est = nu_measure(LevelSetQuery(u=ball, params=params, lam=4.0, method=method,
                                    rel_tol=0.1, mc_samples=20_000))
     assert np.isfinite(est.value), est
+# N = 3: every radial entry builds, and auto sends the query to Monte Carlo
+solids = [catalog.make_standard(name, dim=3) for name, (_, _, radial) in catalog.REGISTRY.items()
+          if radial]
+assert [u.dim for u in solids] == [3, 3, 3]
+est = nu_measure(LevelSetQuery(u=solids[0], params=Params(dim=3, p=1.0, gamma=1.0), lam=64.0,
+                               mc_samples=20_000))
+assert est.method == "montecarlo" and np.isfinite(est.value), est
 """ + SCIPY_LOADED
 
 

@@ -383,6 +383,17 @@ class TestTruncation:
         assert exact == pytest.approx(18_856_180_830.64, rel=1e-12)
         assert abs(est.value - exact) <= est.error <= 1e-5 * exact
 
+    @pytest.mark.parametrize("lam", [1e-309, 1e-320])
+    def test_window_edge_beyond_the_double_range(self, lam):
+        # v / lam overflows below lam ~ 1e-308 while the edge sqrt(v / lam)
+        # does not; this query read inf, "diverges".  lam^(1/2) nu reads
+        # 1.8856165337230 at lam = 1e-300 and 1e-308, and tends to 8 / (3 sqrt 2)
+        est = measure_line(make_standard("tent").line_profile(), 1.0, 1.0, lam)
+        scale = math.sqrt(lam)
+        assert math.isfinite(est.value) and math.isfinite(est.error)
+        for reference in (1.8856165337230, 8.0 / (3.0 * math.sqrt(2.0))):
+            assert abs(scale * est.value - reference) <= scale * est.error
+
     def test_annulus_monotone_in_width(self):
         tent = make_standard("tent")
         q = LevelSetQuery(u=tent, params=P(0.0), lam=0.5)

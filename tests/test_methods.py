@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slopelab.catalog import get, make_standard, mollified_indicator, scale_values
+from slopelab.constants import sphere_area
 from slopelab.measure import LevelSetQuery, nu_measure
 from slopelab.params import Params
 from slopelab.quadrature import max_slope, measure_line
@@ -165,6 +166,45 @@ class TestSlopeVerdict2D:
             assert est.diagnostics["max_slope"] == max_slope(bump.slicer(0.0, 0.0))
         else:
             assert est.value == est.error_bound == 0.0
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_monte_carlo_reads_the_same_chord_in_higher_dims(self, dim):
+        # a radial chord depends on neither direction nor dim
+        bump = make_standard("smooth_bump", dim=dim)
+        est = nu_measure(LevelSetQuery(u=bump, params=P(0.0, 1.0, dim=dim), lam=0.5 * bump.lip))
+        assert est.method == "montecarlo" and est.value == est.error_bound == math.inf
+        planar = make_standard("smooth_bump", dim=2)
+        assert est.diagnostics["max_slope"] == max_slope(planar.slicer(0.0, 0.0))
+
+
+class TestMonteCarloInThreeDimensions:
+    # a radial u has measure (1/2) |S^(N-1)| |S^(N-2)| int_0^R s^(N-2) nu(s) ds
+    # over the line measures nu(s) of its chords at offset s; rotation2d is
+    # N = 2.  At N = 3 that integral, on 33 offsets, is a reference for Monte
+    # Carlo independent of its sampling
+    @pytest.mark.parametrize(
+        "fid,gamma,p,lam",
+        [
+            ("smooth_bump", 1.0, 1.0, 8.0),
+            ("mollified_indicator(3)", 1.0, 2.0, 64.0),
+            ("ball_indicator(1)", 1.0, 1.0, 4.0),
+        ],
+    )
+    def test_agrees_with_the_chord_integral(self, fid, gamma, p, lam):
+        u = make_standard(fid, dim=3)
+        s = np.linspace(0.0, u.support[0][1], 33)
+        values, errors = np.zeros_like(s), np.zeros_like(s)
+        for j, offset in enumerate(s[:-1]):  # the chord at s = R is a point
+            est = measure_line(u.slicer(0.0, float(offset)), gamma, gamma / p, lam, rel_tol=1e-2)
+            values[j], errors[j] = est.value, est.error
+        c = 0.5 * sphere_area(3) * sphere_area(2)
+        ref = c * np.trapezoid(s * values, s)
+        ref_error = abs(ref - c * np.trapezoid((s * values)[::2], s[::2]))
+        ref_error += c * np.trapezoid(s * errors, s)
+        mc = nu_measure(LevelSetQuery(u=u, params=P(gamma, p, dim=3), lam=lam, seed=1,
+                                      mc_samples=100_000))
+        assert mc.method == "montecarlo"
+        assert abs(mc.value - ref) <= mc.error_bound + ref_error
 
 
 class TestMonteCarlo:

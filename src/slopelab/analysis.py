@@ -20,7 +20,7 @@ from . import selfsimilar
 from .cantor import CantorSpec, SeriesBlock
 from .catalog import TestFunction, mollified_indicator, make_standard
 from .measure import LevelSetQuery, nu_measure
-from .params import Params
+from .params import Params, check_p
 
 __all__ = [
     "Sweep",
@@ -386,8 +386,7 @@ def bbm_functional(
     """
     if u.dim != 1:
         raise ValueError("the energy functional is computed for line functions here")
-    if not (p >= 1 and math.isfinite(p)):
-        raise ValueError(f"p must be finite with p >= 1, got {p}")
+    check_p(p)
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     for s in s_grid:

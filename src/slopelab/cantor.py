@@ -154,7 +154,11 @@ def staircase_deriv(spec: CantorSpec, x):
 
 
 def staircase_function(spec: CantorSpec) -> TestFunction:
-    """The staircase as a catalog entry (step-like: plateaus 0 and 1)."""
+    """The staircase as a catalog entry (step-like: plateaus 0 and 1).
+
+    The construction is symmetric about 1/2, so g_m(1 - x) = 1 - g_m(x):
+    the entry declares the odd mirror 1/2.
+    """
     return TestFunction(
         id=f"cantor_staircase(gamma={spec.gamma:g},m={spec.m})",
         dim=1,
@@ -168,6 +172,7 @@ def staircase_function(spec: CantorSpec) -> TestFunction:
         * _base_grad_lp(spec, p),
         lip=spec.lip_bound(),
         breakpoints=_generation_points(spec, max_depth=6),
+        mirror=0.5,
     )
 
 

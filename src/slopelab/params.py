@@ -22,9 +22,14 @@ class Params:
     def __post_init__(self):
         if self.dim < 1 or int(self.dim) != self.dim:
             raise ValueError(f"dimension must be a positive integer, got {self.dim}")
-        if not (self.p >= 1 and math.isfinite(self.p)):
-            raise ValueError(f"p must be finite with p >= 1, got {self.p}")
+        check_p(self.p)
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "b", self.gamma / self.p)
+
+
+def check_p(p: float) -> None:
+    """Reject an integrability exponent that is not finite with p >= 1."""
+    if not (p >= 1 and math.isfinite(p)):
+        raise ValueError(f"p must be finite with p >= 1, got {p}")

@@ -27,10 +27,11 @@ split into two exhaustive families:
   only this family, the pairs in [lo, hi]^2.
 * a profile that declares a mirror point c (f(2c - x) = +-f(x) + const)
   has interior member sets symmetric under (x, h) -> (2c - x - h, h), and
-  the weight depends on h alone.  Without a region or interface points,
-  the cells cover only the half domain 2x + h < 2c: the mirror line is a
-  clipped edge of slope 2, whose straddling cells weigh their part inside
-  in the same closed form, and the half's masses count twice.
+  the weight depends on h alone.  The cells cover only the half domain
+  2x + h < 2c: the mirror line is a clipped edge of slope 2, whose
+  straddling cells weigh their part inside in the same closed form, and
+  the half's masses count twice.  A region or interface points given with
+  such a profile are declared symmetric too (see ``measure_line``).
 
 Near the diagonal, one rule, ``near_diagonal``, gives the cutoff below which
 membership is provably impossible or the bound on the mass below a cutoff,
@@ -696,6 +697,14 @@ def measure_line(
     replacing the generic Lipschitz cutoff (used by the self-similar cross
     terms, whose Lipschitz constants are astronomically large).
 
+    A profile that declares a mirror point c is refined on the half domain
+    2x + h < 2c, its masses counted twice.  A ``region`` passed with such a
+    profile must therefore map onto itself under (x, y) -> (2c - y, 2c - x),
+    and its interface points must come in mirror pairs about c (a point at
+    c is its own pair).  This is declared, as the mirror itself is, and not
+    checked: the self-similar cross term's region, the unit box less its two
+    corner squares, and its interfaces rho and 1 - rho satisfy it.
+
     The interior cells are one refinement in turns, no cell sampled twice:
     the first from the near cut of remainder rel_tol max(tail, 1) at half
     that target; then, while needed, the cut lowered to a remainder of
@@ -733,13 +742,12 @@ def measure_line(
     # jump there (a region predicate keeps the top edge masked too); at a
     # continuous edge the cells are clipped to it instead.  A mirrored
     # profile's interior pairs (x, x + h) and (2c - x - h, 2c - x) are members
-    # together, and [lo, hi]^2 is symmetric about c, so without a region or
-    # interface points the cells cover only 2x + h < 2c, clipped there, and
-    # count twice.
+    # together, and [lo, hi]^2 and any region are symmetric about c, so the
+    # cells cover only 2x + h < 2c, clipped there, and count twice.
     edge_jumps = [j for j in profile.jumps if j[0] in (lo, hi)]
     jumps_at = {loc for loc, _ in edge_jumps}
     mask_lo, mask_top = lo in jumps_at, hi in jumps_at or region is not None
-    mirrored = profile.mirror is not None and region is None and interface_points is None
+    mirrored = profile.mirror is not None
     if mirrored:
         slope, top = 2, 2.0 * profile.mirror
     else:

@@ -12,12 +12,17 @@ generations compute the first cross terms and extend the stabilized tail,
 with the stabilization defect carried into the error bound.  Double
 precision alone could never resolve those generations (the direct engine
 sees at most ~25).  The unit box is the staircase's support, so every
-measure here is an interior ``measure_line`` query.
+measure here is an interior ``measure_line`` query.  The staircase declares
+its mirror 1/2 (g_m(1 - x) = 1 - g_m(x)), and the box, the cross term's
+region and its interfaces rho and 1 - rho all map onto themselves under
+(x, y) -> (1 - y, 1 - x), so every query refines half the box.  Every
+function here takes only a finite p >= 1.
 """
 
 from __future__ import annotations
 
 from .cantor import CantorSpec, staircase_function
+from .params import check_p
 from .quadrature import EngineEstimate, measure_line
 
 __all__ = [
@@ -38,6 +43,7 @@ def box_measure(
     rel_tol: float = 5e-3,
 ) -> EngineEstimate:
     """A(m, lam): measure of the staircase superlevel set inside [0,1]^2."""
+    check_p(p)
     spec = CantorSpec(gamma=gamma, m=m)
     prof = staircase_function(spec).line_profile()
     return measure_line(prof, gamma, gamma / p, lam, interior=True, rel_tol=rel_tol)
@@ -55,7 +61,10 @@ def cross_term(
     Every member pair at small separation straddles one of the interfaces
     rho or 1 - rho (inside a corner square the pair is excluded, inside the
     central gap the staircase is flat), which gives the near-diagonal bound.
+    The map (x, y) -> (1 - y, 1 - x) swaps the two corner squares and the
+    two interfaces, so the region meets the mirror's contract.
     """
+    check_p(p)
     spec = CantorSpec(gamma=gamma, m=m)
     rho = spec.rho
     prof = staircase_function(spec).line_profile()
@@ -94,6 +103,7 @@ def box_measure_ladder(
     ``LADDER_STABLE_AFTER`` generations past m0, with the stabilized tail
     extended beyond.
     """
+    check_p(p)
     if not 0 <= m0 <= m:
         raise ValueError(f"the ladder needs 0 <= m0 <= m, got m0={m0}, m={m}")
     s = 2.0 ** (gamma * (1.0 - 1.0 / p) / (1.0 + gamma))

@@ -23,7 +23,8 @@ from slopelab.catalog import (
     smoothstep,
     smoothstep_deriv,
 )
-from slopelab.quadrature import max_slope
+from slopelab import selfsimilar
+from slopelab.quadrature import EngineEstimate, max_slope
 
 RNG = np.random.default_rng(20240817)
 
@@ -802,6 +803,51 @@ class TestDeclaredMirrors:
             assume(min(abs(x - loc), abs(y - loc)) > 64.0 * EPS * scale)
         tol = 32.0 * EPS * (u.sup_norm + (u.lip or 0.0) * scale)
         assert mirror_defect(u.eval, c, x, y) <= tol
+
+    @given(
+        gamma=st.sampled_from((-0.7, -0.5, -0.3)),
+        m=st.integers(0, 6),
+        ops=st.lists(TRANSFORMS, max_size=3),
+        s=st.floats(-1.25, 1.25),
+        r=st.floats(-1.25, 1.25),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_staircases_and_their_transforms(self, gamma, m, ops, s, r):
+        # an odd mirror: u(2c - x) + u(x) is one constant, the same at x and y,
+        # to the rounding of the abscissae times the slope
+        u = staircase_function(CantorSpec(gamma=gamma, m=m))
+        for name, arg in ops:
+            u = APPLY[name](u, arg)
+        c = u.line_profile().mirror
+        lo, hi = u.support[0]
+        x, y = c + s * (hi - lo), c + r * (hi - lo)
+        scale = abs(x) + abs(y) + 4.0 * abs(c) + abs(lo) + abs(hi)
+        v = u.eval(np.array([x, y, 2.0 * c - x, 2.0 * c - y]))
+        assert abs((v[2] + v[0]) - (v[3] + v[1])) <= 32.0 * EPS * (u.sup_norm + u.lip * scale)
+
+    @pytest.mark.parametrize("gamma", [-0.7, -0.5, -0.3])
+    def test_cross_term_region_maps_onto_itself(self, monkeypatch, gamma):
+        # the region and interfaces cross_term hands the engine, with the
+        # staircase's mirror 1/2: (x, y) -> (1 - y, 1 - x) keeps the region
+        seen = {}
+
+        def record(prof, *args, **controls):
+            seen.update(controls, mirror=prof.mirror)
+            return EngineEstimate(0.0, 0.0)
+
+        monkeypatch.setattr(selfsimilar, "measure_line", record)
+        selfsimilar.cross_term(gamma, 1.0, 0.25, 6)
+        region = seen["region"]
+        assert seen["mirror"] == 0.5 and seen["interface_points"] == 2
+        x, y = RNG.uniform(0.0, 1.0, (2, 100_000))
+        assert np.array_equal(region(x, y), region(1.0 - y, 1.0 - x))
+        if gamma == -0.5:
+            # rho = 1/4: every generation point and its mirror are exact, so
+            # the map holds on the lattice, corner edges included
+            lattice = np.array(staircase_function(CantorSpec(gamma=gamma, m=6)).breakpoints)
+            x, y = lattice[:, None], lattice[None, :]
+            assert np.array_equal(1.0 - lattice, lattice[::-1])
+            assert np.array_equal(region(x, y), region(1.0 - y, 1.0 - x))
 
     @given(
         fid=st.sampled_from(("smooth_bump", "ball_indicator(1)", "mollified_indicator(3)")),

@@ -199,6 +199,14 @@ class TestExitCodes:
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", ["0", "-1", "0.5", "nan", "inf"])
+    def test_unusable_staircase_exponent_is_config_error(self, tmp_path, capsys, p):
+        # the ladder rejects p before any threshold or rescaling is formed
+        code, out, _ = run(tmp_path, "cantor", ["cantor", "--gamma", "-0.5", "--p", p])
+        assert code == EXIT_BAD_CONFIG
+        assert "p must be finite with p >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags,field",
         [

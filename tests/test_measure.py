@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from slopelab.cantor import CantorSpec, staircase_function
+from slopelab.cantor import CantorSpec, staircase, staircase_function
 from slopelab.catalog import dilate, get, make_standard, negate, reflect
 from slopelab.constants import halfline_closed_form
 from slopelab.measure import BudgetExceededError, LevelSetQuery, nu_measure, quotient
@@ -614,11 +614,10 @@ class TestSharedVertexSampling:
     # cell; sampling a split cell on its 5x5 half-step grid must not move a
     # bit.  The line entries are mirrored: their cells cover the half domain
     # 2x + h < 2c, clipped at the mirror line, at half the target and half
-    # the cell caps, and count twice.  The staircase's interior queries
-    # (box_measure, cross_term) keep the whole box [0, 1]^2, since the
-    # staircase declares no mirror, with cells clipped to x + h < 1 where
-    # the profile is continuous there; jump edges and region predicates keep
-    # their masks and their numbers.
+    # the cell caps, and count twice.  So does the staircase, mirrored about
+    # 1/2, in its interior queries (box_measure, and cross_term with its
+    # symmetric region and interfaces); jump edges and region predicates
+    # keep their masks.
     PINNED = {
         "tent": (
             lambda: nu_measure(LevelSetQuery(u=make_standard("tent"), params=P(-0.5), lam=0.1)),
@@ -651,11 +650,11 @@ class TestSharedVertexSampling:
         ),
         "box_measure": (
             lambda: box_measure(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
-            ("0x1.7f7cc2c427ccfp+4", "0x1.a1c62502fdc4cp-5", 8086662),
+            ("0x1.7f6a4684d2d25p+4", "0x1.8b49cbef69843p-5", 3988935),
         ),
         "cross_term": (
             lambda: cross_term(-0.5, 1.0, 0.25, 3, rel_tol=0.05),
-            ("0x1.08306c1889cdbp+2", "0x1.6a94bae1c5cb9p-5", 663885),
+            ("0x1.0a6fa52c5ce0dp+2", "0x1.9249c924f0ca6p-5", 144000),
         ),
         "annulus": (
             lambda: nu_measure(
@@ -681,7 +680,7 @@ class TestSharedVertexSampling:
             nu_measure(LevelSetQuery(u=u, params=P(0.0), lam=0.5))
 
     def test_region_with_narrow_window_pinned(self, pinned_reads):
-        assert pinned_reads["region_with_narrow_window"] == ["0x1.1aa545e8f826bp-8"]
+        assert pinned_reads["region_with_narrow_window"] == ["0x1.1a685452c85a2p-8"]
 
     def test_budget_partial_pinned(self, pinned_reads):
         assert pinned_reads["budget_partial"] == [
@@ -712,12 +711,22 @@ class TestStaircaseLadder:
     A(m, lam) = A(m - 1, s lam) + X(m, lam) from A(m0)."""
 
     def test_bench_ladder_pinned(self, pinned_reads):
-        assert pinned_reads["bench_ladder"] == ["0x1.2df5aea59a154p+5", "0x1.b67e662b7aa8cp-3"]
+        assert pinned_reads["bench_ladder"] == ["0x1.3288f885f892ap+5", "0x1.b6ee167dd2c4ap-3"]
 
     @pytest.mark.parametrize("m0, m", [(-1, 3), (4, 3)])
     def test_generations_out_of_order_rejected(self, m0, m):
         with pytest.raises(ValueError):
             box_measure_ladder(-0.5, 0.25, m, m0=m0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("run", [
+        lambda p: box_measure(-0.5, p, 0.25, 1),
+        lambda p: cross_term(-0.5, p, 0.25, 1),
+        lambda p: box_measure_ladder(-0.5, 0.25, 1, p=p),
+    ], ids=["box_measure", "cross_term", "ladder"])
+    def test_exponent_below_one_or_not_finite_rejected(self, run, p):
+        with pytest.raises(ValueError, match="p must be finite with p >= 1"):
+            run(p)
 
     def test_agrees_with_direct_box_at_p_one(self):
         ladder = box_measure_ladder(-0.5, 0.25, 4, rel_tol=0.05)
@@ -725,12 +734,6 @@ class TestStaircaseLadder:
             direct = box_measure(-0.5, 1.0, 0.25, m, rel_tol=0.05)
             assert abs(value - direct.value) <= error + direct.error, m
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: the ladder's X(4) reads 4.4736 where brute force gives 4.574, "
-        "so A(4) = 28.4000 +- 0.0178 misses the direct 28.5338 +- 0.0979",
-    )
     def test_agrees_with_direct_box_at_default_tolerance(self):
         ladder = box_measure_ladder(-0.5, 0.25, 4)
         direct = box_measure(-0.5, 1.0, 0.25, 4)
@@ -773,6 +776,40 @@ class TestStaircaseLadder:
         for kind, j, lam in calls:
             assert lam == pytest.approx(s ** (12 - j) * 0.25, rel=1e-12)
         assert "extended_generations" not in est.diagnostics
+
+
+def cross_term_midpoint_sum(gamma, lam, m, n=4000, rows=250):
+    """X(m, lam) at p = 1 as a midpoint sum over the n x n cells of the unit box.
+
+    Each ordered pair of distinct cell centres (i + 1/2)/n outside both corner
+    squares adds member * |x - y|^(gamma - 1) / n^2; rows are taken in blocks.
+    """
+    spec = CantorSpec(gamma=gamma, m=m)
+    x = (np.arange(n) + 0.5) / n
+    s = staircase(spec, x)
+    total = 0.0
+    for start in range(0, n, rows):
+        xi, si = x[start:start + rows, None], s[start:start + rows, None]
+        h = np.abs(xi - x)
+        with np.errstate(divide="ignore"):
+            weight = h ** (gamma - 1.0)
+        corner = ((xi <= spec.rho) & (x <= spec.rho)) | (
+            (xi >= 1.0 - spec.rho) & (x >= 1.0 - spec.rho)
+        )
+        member = (np.abs(si - s) > lam * h ** (1.0 + gamma)) & ~corner & (h > 0.0)
+        total += float(weight[member].sum())
+    return total / n**2
+
+
+class TestCrossTermReference:
+    # X(4) at gamma = -0.5, p = 1 and rel_tol 5e-3 against its N = 4,000
+    # midpoint sum: 4.57348 at lambda = 0.25 (N = 8,000 gives 4.5741) and
+    # 5.07776 at lambda = 0.0229.  The member sets carry structure along the
+    # anti-diagonals x + y = const, which a cell's nine samples can miss.
+    @pytest.mark.parametrize("lam", [0.25, 0.0229])
+    def test_cross_term_brackets_its_midpoint_sum(self, lam):
+        est = cross_term(-0.5, 1.0, lam, 4)
+        assert abs(est.value - cross_term_midpoint_sum(-0.5, lam, 4)) <= est.error
 
 
 class TestBudgetPerQuery:
@@ -886,15 +923,15 @@ class TestMirror:
         self.agreeing(u.line_profile(), gamma, gamma / p, lam or (1.5 * u.lip if u.lip else 0.5),
                       interior=True)
 
-    def test_regions_and_interfaces_keep_the_whole_domain_and_interior_queries_mirror(self):
+    def test_symmetric_regions_and_interfaces_mirror(self):
+        # the band |x + y - 1| > 1/4 maps onto itself under (x, y) -> (1 - y, 1 - x),
+        # and the tent's one interface point is its kink, the mirror point 1/2
         prof = make_standard("tent").line_profile()
-        for controls, mirrored in (
-            (dict(interior=True), True),
-            (dict(interior=True, region=lambda x, y: x < 0.5), False),
-            (dict(interface_points=1), False),
-        ):
+        band = dict(interior=True, region=lambda x, y: np.abs(x + y - 1.0) > 0.25)
+        for controls in (dict(interior=True), band, dict(interface_points=1)):
             est = measure_line(prof, 1.0, 1.0, 8.0, rel_tol=0.05, **controls)
-            assert ("mirror" in est.diagnostics) == mirrored
+            assert est.diagnostics["mirror"] == 0.5
+        self.agreeing(prof, 1.0, 1.0, 8.0, rel_tol=0.05, **band)
 
     def test_tent_brackets_its_plateau_integral(self):
         # at gamma = -2, p = 1, lambda = 1/4 no interior pair is a member
